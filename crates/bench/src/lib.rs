@@ -265,8 +265,8 @@ impl WorkloadCache {
 /// Runs one (engine, workload) cell of the evaluation matrix.
 ///
 /// Single-threaded cells use the legacy single-machine driver; cells with
-/// `run_cfg.threads > 1` run real worker threads via
-/// [`run_cell_parallel`] and return the merged result.
+/// `run_cfg.threads > 1` (or an enabled interconnect) run real worker
+/// threads on the sharded driver and return the merged result.
 ///
 /// Matrix loops should prefer [`run_cell_cached`], which reuses workload
 /// prototypes across cells.
@@ -317,28 +317,13 @@ pub fn run_cell_cached(
         return run_parallel_cell(engine_kind, proto, cfg, ssp_cfg, run_cfg).result;
     }
     let mut workload = cache.get(workload_kind, scale);
-    run_shared_cell(engine_kind, workload.as_mut(), cfg, ssp_cfg, run_cfg)
+    run_machine_cell(engine_kind, workload.as_mut(), cfg, ssp_cfg, run_cfg)
 }
 
-/// Runs one cell on the **legacy shared-machine driver** regardless of
-/// `run_cfg.threads`: all simulated cores drive *one* machine and *one*
-/// workload instance, round-robin on the calling thread. Table 4/5 use
-/// this — the paper's "four clients" hit one shared Memcached cache /
-/// reservation database, which disjoint shards cannot model.
-pub fn run_cell_shared(
-    engine_kind: EngineKind,
-    workload_kind: WorkloadKind,
-    cfg: &MachineConfig,
-    ssp_cfg: &SspConfig,
-    scale: Scale,
-    run_cfg: &RunConfig,
-) -> RunResult {
-    let mut workload = make_workload(workload_kind, scale);
-    run_shared_cell(engine_kind, workload.as_mut(), cfg, ssp_cfg, run_cfg)
-}
-
-/// The legacy shared-machine driver over an already-built workload.
-fn run_shared_cell(
+/// The legacy one-machine driver over an already-built workload: all
+/// `run_cfg.threads` simulated cores drive *one* machine and *one*
+/// workload instance, round-robin on the calling thread.
+fn run_machine_cell(
     engine_kind: EngineKind,
     workload: &mut dyn Workload,
     cfg: &MachineConfig,
@@ -365,26 +350,11 @@ fn run_shared_cell(
     }
 }
 
-/// Runs one cell of the matrix on `run_cfg.threads` real worker threads:
+/// The sharded driver over a workload prototype (cloned per worker):
 /// worker `w` owns a [`MachineConfig::shard_slice_for`] slice of `cfg`
 /// (remainders of the shared L3/banks distributed so the slices sum to
-/// the parent machine), a [`Scale::per_shard`] partition of the workload,
-/// and its own deterministic RNG stream (see the `ssp-workloads` runner
-/// docs for the determinism contract).
-pub fn run_cell_parallel(
-    engine_kind: EngineKind,
-    workload_kind: WorkloadKind,
-    cfg: &MachineConfig,
-    ssp_cfg: &SspConfig,
-    scale: Scale,
-    run_cfg: &RunConfig,
-) -> ParallelRun<BoxedEngine> {
-    let shard_scale = scale.per_shard(run_cfg.threads);
-    let proto = make_workload(workload_kind, shard_scale);
-    run_parallel_cell(engine_kind, proto, cfg, ssp_cfg, run_cfg)
-}
-
-/// The sharded driver over a workload prototype (cloned per worker).
+/// the parent machine) and its own deterministic RNG stream (see the
+/// `ssp-workloads` runner docs for the determinism contract).
 fn run_parallel_cell(
     engine_kind: EngineKind,
     proto: Box<dyn Workload>,

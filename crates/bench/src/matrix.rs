@@ -22,9 +22,9 @@
 //! results**: a pooled run over any number of host threads, with caches
 //! on or off, is bit-identical to executing every cell one at a time on
 //! the calling thread with cold engines — the same discipline
-//! `run_parallel` applies to its shards, locked in by
-//! `tests/matrix_equivalence.rs`. Only host wall-clock measurements are
-//! outside the contract.
+//! [`run_parallel`](ssp_workloads::runner::run_parallel) applies to its
+//! shards, locked in by `crates/bench/tests/matrix_equivalence.rs`. Only
+//! host wall-clock measurements are outside the contract.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -14,8 +14,9 @@
 //!   ([`runner::run_parallel`]) and the legacy single-machine round-robin
 //!   driver ([`runner::run`]), both producing [`runner::RunResult`]
 //! * [`storm`] — the crash-storm driver: scheduled power cuts under full
-//!   traffic, oracle-verified recovery after every storm, identical in
-//!   both execution modes
+//!   traffic (machine-wide at epoch boundaries when the interconnect is
+//!   on), oracle-verified recovery after every storm, identical in both
+//!   execution modes
 //! * [`shared`] — the shared-heap driver: N clients against ONE
 //!   versioned store, optimistic concurrency with deterministic
 //!   epoch-boundary conflict resolution ([`shared::run_shared`])
@@ -30,6 +31,7 @@
 pub mod btree;
 pub mod conflict;
 pub mod dist;
+mod drive;
 pub mod hash;
 pub mod kvcache;
 pub mod rbtree;
@@ -58,7 +60,5 @@ pub use shared::{
     SharedShardRun, SharedStats,
 };
 pub use sps::Sps;
-pub use storm::{
-    run_epoch_storm, run_storm, OracleEngine, StormPoint, StormRun, StormSchedule, StormShardReport,
-};
+pub use storm::{run_storm, OracleEngine, StormPoint, StormRun, StormSchedule, StormShardReport};
 pub use vacation::VacationWorkload;

@@ -2,56 +2,43 @@
 //! the sharded multi-threaded driver that collect the measurements every
 //! figure and table is built from.
 //!
-//! # Threading model
-//!
 //! [`run_parallel`] shards the simulated machine per worker: worker `w`
 //! owns a full engine instance over a [`shard
 //! slice`](ssp_simulator::config::MachineConfig::shard_slice) of the
 //! machine (its core plus a 1/N bank of the shared LLC and memory
-//! channels) and a disjoint partition of the workload. Workers run on real
-//! [`std::thread`]s with no shared mutable state, so the simulator's hot
-//! path needs no locks; cross-core ordering is resolved *after* the run,
-//! at simulated-cycle granularity: per-worker statistics are merged in
-//! worker-index order and the run's wall-clock is the maximum per-shard
-//! cycle count, exactly as [`Machine::elapsed_cycles`] defines it for a
-//! shared machine.
+//! channels) and a disjoint partition of the workload. Its measured phase
+//! is one independent epoch of the driver kernel, or — when the shards'
+//! machine config enables
+//! [`InterconnectConfig`](ssp_simulator::config::InterconnectConfig) — a
+//! stepped phase whose epoch merge runs every shard's memory-event stream
+//! through one shared [`Interconnect`](ssp_simulator::interconnect::Interconnect)
+//! and charges each shard's cross-shard queueing delay back to its clock
+//! (`docs/ARCHITECTURE.md`, "Threading model"). Per-worker statistics are
+//! merged in worker-index order and the run's wall-clock is the maximum
+//! per-shard cycle count, exactly as [`Machine::elapsed_cycles`] defines
+//! it for a shared machine.
 //!
 //! # Determinism contract
 //!
 //! Every worker derives its own [`SmallRng`] stream from
 //! (`cfg.seed`, worker index), so for a fixed [`RunConfig`] the merged
 //! [`RunResult`] counters and every shard's persistent state are
-//! **bit-identical across repeated runs and across host schedules** —
-//! [`ExecMode::Sequential`] replays the identical per-worker schedules
-//! round-robin on the calling thread and must produce byte-equal results
-//! (`tests/threaded_equivalence.rs` locks this in). Only the host-time
-//! measurements ([`ParallelRun::host_elapsed`]) are outside the contract.
-//!
-//! # Cross-shard memory interconnect
-//!
-//! When the shards' machine config enables
-//! [`InterconnectConfig`](ssp_simulator::config::InterconnectConfig), the
-//! measured phase runs in *epochs*: each worker executes until its local
-//! clock crosses the next `epoch_cycles` boundary, all workers rendezvous
-//! at a barrier, one leader merges the shards' recorded memory-event
-//! streams through the shared [`Interconnect`] in `(local time, worker
-//! index)` order, and each shard's cross-shard queueing delay is charged
-//! back to its clock before the next epoch. Every arbitration input is
-//! shard-local, so the determinism contract above holds unchanged with
-//! contention enabled (`tests/interconnect_contention.rs`).
+//! **bit-identical across repeated runs, host schedules and execution
+//! modes** (`tests/threaded_equivalence.rs`,
+//! `tests/interconnect_contention.rs`). Only the host-time measurements
+//! ([`ParallelRun::host_elapsed`]) are outside the contract.
 
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ssp_simulator::cache::CoreId;
-use ssp_simulator::config::MachineConfig;
-use ssp_simulator::interconnect::{EpochCharge, Interconnect, LlcEvent, MemEvent};
 use ssp_simulator::machine::Machine;
 use ssp_simulator::obs::LatencyStats;
 use ssp_simulator::stats::{MachineStats, WriteClass};
 use ssp_txn::engine::{TxnEngine, TxnStats};
+
+use crate::drive::{drive, fan_out, IcMerge, Merge, NoMerge, Shard};
 
 /// A benchmark program driving a [`TxnEngine`].
 ///
@@ -106,15 +93,17 @@ impl<T: Workload + ?Sized> Workload for Box<T> {
     }
 }
 
-/// How [`run_parallel`] executes the per-worker schedules.
+/// How the sharded drivers execute the per-worker schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// One real `std::thread` per worker (the default).
     #[default]
     Threaded,
-    /// The reference schedule: the identical per-worker work, interleaved
-    /// round-robin at transaction granularity on the calling thread. Used
-    /// by the equivalence tests to pin the determinism contract.
+    /// The reference schedule: the identical per-worker work on the
+    /// calling thread, epoch by epoch, each epoch's shards in worker
+    /// order. An independent phase is a single epoch, so its shards run
+    /// one after another. Used by the equivalence tests to pin the
+    /// determinism contract.
     Sequential,
 }
 
@@ -130,7 +119,8 @@ pub struct RunConfig {
     pub threads: usize,
     /// RNG seed (runs are fully deterministic per seed).
     pub seed: u64,
-    /// Threaded or sequential-reference execution ([`run_parallel`] only).
+    /// Threaded or sequential-reference execution (the sharded drivers;
+    /// [`run`] ignores it).
     pub mode: ExecMode,
 }
 
@@ -251,124 +241,67 @@ pub fn worker_share(total: u64, workers: usize, w: usize) -> u64 {
 
 pub(crate) const SHARD_CORE: CoreId = CoreId::new(0);
 
-/// A reusable rendezvous like [`std::sync::Barrier`], except that a
-/// panicking participant can [`poison`](PoisonBarrier::poison) it: every
-/// parked or future waiter panics instead of staying parked forever. The
-/// epoch protocol rendezvouses hundreds of times per run, so without
-/// poisoning a single engine panic inside one worker would deadlock the
-/// other workers (and the coordinator) into an indefinite hang — in CI
-/// that is a job timeout with the original panic message never surfaced.
-pub(crate) struct PoisonBarrier {
-    n: usize,
-    state: Mutex<PoisonBarrierState>,
-    cv: Condvar,
+/// A shard's counters when its measured phase starts.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MeasureBase {
+    stats: MachineStats,
+    txn: TxnStats,
+    /// The core clock (meaningful until a crash resets it).
+    pub(crate) cycles: u64,
 }
 
-struct PoisonBarrierState {
-    count: usize,
-    generation: u64,
-    poisoned: bool,
-}
-
-impl PoisonBarrier {
-    pub(crate) fn new(n: usize) -> Self {
+impl MeasureBase {
+    pub(crate) fn take(engine: &impl TxnEngine) -> Self {
         Self {
-            n,
-            state: Mutex::new(PoisonBarrierState {
-                count: 0,
-                generation: 0,
-                poisoned: false,
-            }),
-            cv: Condvar::new(),
+            stats: engine.machine().stats().clone(),
+            txn: engine.txn_stats().clone(),
+            cycles: engine.machine().cycles(SHARD_CORE),
         }
     }
 
-    /// Recovers the state even if a panic inside `wait` poisoned the
-    /// mutex — the barrier's own `poisoned` flag is the source of truth.
-    fn lock(&self) -> std::sync::MutexGuard<'_, PoisonBarrierState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    /// The machine and transaction counters accrued since the snapshot.
+    pub(crate) fn since(&self, engine: &impl TxnEngine) -> (MachineStats, TxnStats) {
+        (
+            engine.machine().stats().diff(&self.stats),
+            engine.txn_stats().diff(&self.txn),
+        )
     }
+}
 
-    /// Blocks until `n` participants arrive; returns `true` for exactly
-    /// one of them (the leader).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the barrier was poisoned (before or while waiting).
-    pub(crate) fn wait(&self) -> bool {
-        let mut st = self.lock();
-        assert!(!st.poisoned, "a peer worker thread panicked");
-        let generation = st.generation;
-        st.count += 1;
-        if st.count == self.n {
-            st.count = 0;
-            st.generation += 1;
-            self.cv.notify_all();
-            return true;
+impl RunResult {
+    /// Folds per-shard `(txns, elapsed cycles, stats, txn stats,
+    /// latency)` in worker order into one result: counters and histograms
+    /// add up, the wall-clock is the slowest shard's, and throughput is
+    /// taken at `engine`'s clock.
+    pub(crate) fn fold<'a>(
+        engine: &impl TxnEngine,
+        workload: &str,
+        shards: impl IntoIterator<Item = (u64, u64, &'a MachineStats, &'a TxnStats, &'a LatencyStats)>,
+    ) -> Self {
+        let mut r = RunResult {
+            engine: engine.name().to_string(),
+            workload: workload.to_string(),
+            txns: 0,
+            elapsed_cycles: 0,
+            tps: 0.0,
+            stats: MachineStats::new(),
+            txn_stats: TxnStats::default(),
+            latency: LatencyStats::default(),
+        };
+        for (txns, elapsed, stats, txn_stats, latency) in shards {
+            r.txns += txns;
+            r.elapsed_cycles = r.elapsed_cycles.max(elapsed);
+            r.stats.merge(stats);
+            r.txn_stats.merge(txn_stats);
+            r.latency.merge(latency);
         }
-        while st.generation == generation && !st.poisoned {
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        if r.elapsed_cycles > 0 {
+            let freq_hz = engine.machine().config().freq_ghz * 1e9;
+            r.tps = r.txns as f64 / (r.elapsed_cycles as f64 / freq_hz);
         }
-        assert!(!st.poisoned, "a peer worker thread panicked");
-        false
-    }
-
-    pub(crate) fn poison(&self) {
-        self.lock().poisoned = true;
-        self.cv.notify_all();
+        r
     }
 }
-
-/// Poisons every barrier of the run if the owning thread unwinds, so a
-/// panic anywhere in a worker (or the coordinator) fails the whole run
-/// loudly instead of deadlocking the remaining rendezvous.
-pub(crate) struct PoisonOnPanic<'a>(pub(crate) Vec<&'a PoisonBarrier>);
-
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            for barrier in &self.0 {
-                barrier.poison();
-            }
-        }
-    }
-}
-
-/// Rendezvous state for the interconnect's epoch arbitration: workers
-/// deposit their event streams, one (arbitrary — the computation is pure)
-/// leader runs the deterministic merge, and everyone picks up its charge.
-pub(crate) struct EpochSync {
-    pub(crate) barrier: PoisonBarrier,
-    pub(crate) state: Mutex<EpochState>,
-}
-
-pub(crate) struct EpochState {
-    pub(crate) interconnect: Option<Interconnect>,
-    pub(crate) streams: Vec<Vec<MemEvent>>,
-    pub(crate) llc_streams: Vec<Vec<LlcEvent>>,
-    pub(crate) remaining: Vec<u64>,
-    pub(crate) charges: Vec<EpochCharge>,
-    pub(crate) done: bool,
-}
-
-impl EpochSync {
-    pub(crate) fn new(workers: usize) -> Self {
-        Self {
-            barrier: PoisonBarrier::new(workers),
-            state: Mutex::new(EpochState {
-                interconnect: None,
-                streams: vec![Vec::new(); workers],
-                llc_streams: vec![Vec::new(); workers],
-                remaining: vec![u64::MAX; workers],
-                charges: vec![EpochCharge::default(); workers],
-                done: false,
-            }),
-        }
-    }
-}
-
-/// Measurement baselines of one shard (stats, txn stats, start cycles).
-type ShardBase = (MachineStats, TxnStats, u64);
 
 /// Per-worker driver state for the sharded run.
 #[derive(Clone)]
@@ -377,21 +310,29 @@ struct Worker<E, W> {
     workload: W,
     rng: SmallRng,
     txns: u64,
-    warmup: u64,
+    /// Measured transactions not yet run.
+    left: u64,
+    /// Drop the event log after every transaction: nothing arbitrates it.
+    discard: bool,
     /// Latency histograms; recorded by every transaction, reset at the
     /// start of the measured phase so warm-up samples are excluded.
     lat: LatencyStats,
+    base: MeasureBase,
+    w: usize,
 }
 
 impl<E: TxnEngine, W: Workload> Worker<E, W> {
-    fn new(engine: E, workload: W, cfg: &RunConfig, w: usize) -> Self {
+    fn new(engine: E, workload: W, seed: u64, w: usize) -> Self {
         Self {
             engine,
             workload,
-            rng: SmallRng::seed_from_u64(worker_seed(cfg.seed, w)),
-            txns: worker_share(cfg.txns, cfg.threads, w),
-            warmup: worker_share(cfg.warmup, cfg.threads, w),
+            rng: SmallRng::seed_from_u64(worker_seed(seed, w)),
+            txns: 0,
+            left: 0,
+            discard: true,
             lat: LatencyStats::default(),
+            base: MeasureBase::default(),
+            w,
         }
     }
 
@@ -413,97 +354,25 @@ impl<E: TxnEngine, W: Workload> Worker<E, W> {
         self.lat.txn.record(c3 - c0);
     }
 
-    /// Setup plus warm-up, then snapshot the measurement baselines.
-    fn prepare(&mut self) -> (MachineStats, TxnStats, u64) {
+    /// Setup plus `warmup` transactions, then snapshot the measurement
+    /// baselines.
+    fn prepare(&mut self, warmup: u64) {
         self.workload.setup(&mut self.engine, SHARD_CORE);
-        for _ in 0..self.warmup {
+        for _ in 0..warmup {
             self.one_txn();
         }
         // Setup and warm-up run uncontended: their recorded events are
         // discarded so epoch arbitration covers the measured phase only.
         self.engine.machine_mut().discard_mem_events();
-        (
-            self.engine.machine().stats().clone(),
-            self.engine.txn_stats().clone(),
-            self.engine.machine().cycles(SHARD_CORE),
-        )
+        self.base = MeasureBase::take(&self.engine);
     }
 
-    /// Runs this worker's transactions up to the next epoch boundary:
-    /// local virtual time `target`, or until the share is exhausted.
-    /// Returns the transactions still to run.
-    fn run_until(&mut self, remaining: u64, target: u64) -> u64 {
-        let mut remaining = remaining;
-        while remaining > 0 && self.engine.machine().cycles(SHARD_CORE) < target {
-            self.one_txn();
-            remaining -= 1;
-        }
-        remaining
-    }
-
-    /// The measured phase under epoch arbitration (threaded mode): run an
-    /// epoch, rendezvous with every other worker, let the leader merge
-    /// all event streams through the shared controller, apply this
-    /// shard's charge, repeat until every worker is out of transactions.
-    ///
-    /// Every quantity feeding the arbitration (local clocks, event
-    /// streams, worker indices, and `arbiter_cfg` — worker 0's machine
-    /// config, identical for every worker and both execution modes) is
-    /// deterministic, so the outcome is independent of host scheduling
-    /// even though an arbitrary barrier leader runs the merge.
-    fn run_measured_epochs(&mut self, w: usize, sync: &EpochSync, arbiter_cfg: &MachineConfig) {
-        let epoch_cycles = arbiter_cfg.interconnect.epoch_cycles.max(1);
-        let mut remaining = self.txns;
-        let mut target = self.engine.machine().cycles(SHARD_CORE) + epoch_cycles;
-        loop {
-            remaining = self.run_until(remaining, target);
-            {
-                let mut st = sync.state.lock().expect("epoch state poisoned");
-                // Swap rather than replace: this epoch's events land in the
-                // shared slot and the previous epoch's (drained) buffer
-                // becomes the machine's next recording buffer, so threaded
-                // runs stop allocating per epoch per shard.
-                self.engine
-                    .machine_mut()
-                    .take_mem_events_into(&mut st.streams[w]);
-                self.engine
-                    .machine_mut()
-                    .take_llc_events_into(&mut st.llc_streams[w]);
-                st.remaining[w] = remaining;
-            }
-            if sync.barrier.wait() {
-                let mut st = sync.state.lock().expect("epoch state poisoned");
-                let st = &mut *st;
-                let shards = st.streams.len();
-                let ic = st
-                    .interconnect
-                    .get_or_insert_with(|| Interconnect::new(arbiter_cfg, shards));
-                st.charges = ic.arbitrate_epoch(&st.streams, &st.llc_streams);
-                st.done = st.remaining.iter().all(|&r| r == 0);
-            }
-            sync.barrier.wait();
-            let (charge, done) = {
-                let st = sync.state.lock().expect("epoch state poisoned");
-                (st.charges[w], st.done)
-            };
-            self.engine
-                .machine_mut()
-                .apply_epoch_charge(SHARD_CORE, &charge);
-            if done {
-                break;
-            }
-            target += epoch_cycles;
-        }
-    }
-
-    fn finish(self, w: usize, base: (MachineStats, TxnStats, u64)) -> ShardRun<E> {
-        let (stats_base, txn_base, cycles_base) = base;
-        let stats = self.engine.machine().stats().diff(&stats_base);
-        let txn_stats = self.engine.txn_stats().diff(&txn_base);
-        let elapsed_cycles = self.engine.machine().cycles(SHARD_CORE) - cycles_base;
+    fn finish(self) -> ShardRun<E> {
+        let (stats, txn_stats) = self.base.since(&self.engine);
+        let elapsed_cycles = self.engine.machine().cycles(SHARD_CORE) - self.base.cycles;
         ShardRun {
             workload: self.workload.name(),
-            worker: w,
+            worker: self.w,
             txns: self.txns,
             elapsed_cycles,
             stats,
@@ -511,6 +380,26 @@ impl<E: TxnEngine, W: Workload> Worker<E, W> {
             latency: self.lat,
             engine: self.engine,
         }
+    }
+}
+
+impl<E: TxnEngine, W: Workload> Shard<()> for Worker<E, W> {
+    fn machine(&mut self) -> &mut Machine {
+        self.engine.machine_mut()
+    }
+
+    fn step(&mut self, until: u64) -> bool {
+        while self.left > 0 && self.engine.machine().cycles(SHARD_CORE) < until {
+            self.one_txn();
+            self.left -= 1;
+            if self.discard {
+                // Free for a disabled shard; keeps the log of an
+                // (unsupported) enabled-while-run-disabled shard from
+                // growing without bound.
+                self.engine.machine_mut().discard_mem_events();
+            }
+        }
+        self.left > 0
     }
 }
 
@@ -524,18 +413,9 @@ impl<E: TxnEngine, W: Workload> Worker<E, W> {
 /// [`run_parallel`] with the same `RunConfig` — warm state is a pure
 /// function of (factories, seed, warm-up count, thread count), never of
 /// host scheduling or of how many clones ran before.
+#[derive(Clone)]
 pub struct WarmParallel<E, W> {
     workers: Vec<Worker<E, W>>,
-    bases: Vec<ShardBase>,
-}
-
-impl<E: TxnEngine + Clone, W: Workload + Clone> Clone for WarmParallel<E, W> {
-    fn clone(&self) -> Self {
-        Self {
-            workers: self.workers.clone(),
-            bases: self.bases.clone(),
-        }
-    }
 }
 
 /// Builds and warms `cfg.threads` workers: each constructs its engine and
@@ -558,34 +438,12 @@ where
     E: TxnEngine,
     W: Workload,
 {
-    assert!(cfg.threads >= 1, "at least one worker");
-    let pairs: Vec<(Worker<E, W>, ShardBase)> = match cfg.mode {
-        ExecMode::Threaded => std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..cfg.threads)
-                .map(|w| {
-                    let (mk_engine, mk_workload) = (&mk_engine, &mk_workload);
-                    scope.spawn(move || {
-                        let mut worker = Worker::new(mk_engine(w), mk_workload(w), cfg, w);
-                        let base = worker.prepare();
-                        (worker, base)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked during warm-up"))
-                .collect()
-        }),
-        ExecMode::Sequential => (0..cfg.threads)
-            .map(|w| {
-                let mut worker = Worker::new(mk_engine(w), mk_workload(w), cfg, w);
-                let base = worker.prepare();
-                (worker, base)
-            })
-            .collect(),
-    };
-    let (workers, bases) = pairs.into_iter().unzip();
-    WarmParallel { workers, bases }
+    let workers = fan_out(cfg.mode, cfg.threads, |w| {
+        let mut worker = Worker::new(mk_engine(w), mk_workload(w), cfg.seed, w);
+        worker.prepare(worker_share(cfg.warmup, cfg.threads, w));
+        worker
+    });
+    WarmParallel { workers }
 }
 
 impl<E: TxnEngine, W: Workload> WarmParallel<E, W> {
@@ -598,16 +456,8 @@ impl<E: TxnEngine, W: Workload> WarmParallel<E, W> {
     /// Consumes the warm state; clone first to keep a restorable
     /// snapshot.
     pub fn run_measured(self, txns: u64, mode: ExecMode) -> ParallelRun<E> {
-        let WarmParallel {
-            mut workers, bases, ..
-        } = self;
+        let mut workers = self.workers;
         let threads = workers.len();
-        for (w, worker) in workers.iter_mut().enumerate() {
-            worker.txns = worker_share(txns, threads, w);
-            // Warm-up transactions recorded latency samples; the measured
-            // phase starts from empty histograms.
-            worker.lat.reset();
-        }
         // Every interconnect decision of the run — whether epochs run at
         // all, the epoch length, and the controller's banks and service
         // times — derives from worker 0's config in *both* execution
@@ -617,45 +467,28 @@ impl<E: TxnEngine, W: Workload> WarmParallel<E, W> {
         // barrier nor make the arbitration depend on which thread happens
         // to win a barrier leadership (an enabled shard in a disabled run
         // merely has its event log discarded per transaction).
-        let arbiter_cfg = workers[0].engine.machine().config().clone();
-        let txns_total = txns;
-        let (workers, host_elapsed) = match mode {
-            ExecMode::Threaded => measure_workers_threaded(workers, &arbiter_cfg),
-            ExecMode::Sequential => measure_workers_sequential(workers, &arbiter_cfg),
-        };
-        let shards: Vec<ShardRun<E>> = workers
-            .into_iter()
-            .zip(bases)
-            .enumerate()
-            .map(|(w, (worker, base))| worker.finish(w, base))
-            .collect();
-
-        let mut stats = MachineStats::new();
-        let mut txn_stats = TxnStats::default();
-        let mut latency = LatencyStats::default();
-        for shard in &shards {
-            stats.merge(&shard.stats);
-            txn_stats.merge(&shard.txn_stats);
-            latency.merge(&shard.latency);
+        let arbiter = workers[0].engine.machine().config().clone();
+        for (w, worker) in workers.iter_mut().enumerate() {
+            worker.txns = worker_share(txns, threads, w);
+            worker.left = worker.txns;
+            worker.discard = !arbiter.interconnect.enabled;
+            // Warm-up transactions recorded latency samples; the measured
+            // phase starts from empty histograms.
+            worker.lat.reset();
         }
-        let elapsed = shards.iter().map(|s| s.elapsed_cycles).max().unwrap_or(0);
-        let freq_hz = shards[0].engine.machine().config().freq_ghz * 1e9;
-        let tps = if elapsed == 0 {
-            0.0
+        let mut merge: Box<dyn Merge<()>> = if arbiter.interconnect.enabled {
+            Box::new(IcMerge::new(&arbiter))
         } else {
-            txns_total as f64 / (elapsed as f64 / freq_hz)
+            Box::new(NoMerge)
         };
-
-        let result = RunResult {
-            engine: shards[0].engine.name().to_string(),
-            workload: shards[0].workload.to_string(),
-            txns: txns_total,
-            elapsed_cycles: elapsed,
-            tps,
-            stats,
-            txn_stats,
-            latency,
-        };
+        let (shards, host_elapsed) = drive(mode, workers, &mut *merge, Worker::finish);
+        let result = RunResult::fold(
+            &shards[0].engine,
+            shards[0].workload,
+            shards
+                .iter()
+                .map(|s| (s.txns, s.elapsed_cycles, &s.stats, &s.txn_stats, &s.latency)),
+        );
         ParallelRun {
             result,
             shards,
@@ -689,142 +522,6 @@ where
     W: Workload,
 {
     warm_parallel(mk_engine, mk_workload, cfg).run_measured(cfg.txns, cfg.mode)
-}
-
-fn measure_workers_threaded<E, W>(
-    workers: Vec<Worker<E, W>>,
-    arbiter_cfg: &MachineConfig,
-) -> (Vec<Worker<E, W>>, Duration)
-where
-    E: TxnEngine,
-    W: Workload,
-{
-    let threads = workers.len();
-    // Two rendezvous with the coordinator bracket the measured phase so
-    // host_elapsed covers exactly the span in which measured transactions
-    // run (setup and warm-up stay outside). Poisoning barriers turn a
-    // panic in any participant into a loud failure of the whole run
-    // rather than a deadlock of the surviving waiters.
-    let start = PoisonBarrier::new(threads + 1);
-    let end = PoisonBarrier::new(threads + 1);
-    // Epoch rendezvous for the interconnect (workers only); unused unless
-    // the arbiter config enables the model.
-    let epoch_sync = EpochSync::new(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(w, mut worker)| {
-                let (start, end, epoch_sync) = (&start, &end, &epoch_sync);
-                scope.spawn(move || {
-                    let _poison = PoisonOnPanic(vec![start, end, &epoch_sync.barrier]);
-                    start.wait();
-                    if arbiter_cfg.interconnect.enabled {
-                        worker.run_measured_epochs(w, epoch_sync, arbiter_cfg);
-                    } else {
-                        for _ in 0..worker.txns {
-                            worker.one_txn();
-                            // Free for a disabled shard; keeps the log of
-                            // an (unsupported) enabled-while-run-disabled
-                            // shard from growing without bound.
-                            worker.engine.machine_mut().discard_mem_events();
-                        }
-                    }
-                    end.wait();
-                    worker
-                })
-            })
-            .collect();
-        start.wait();
-        let t0 = Instant::now();
-        end.wait();
-        let host_elapsed = t0.elapsed();
-        let workers = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect();
-        (workers, host_elapsed)
-    })
-}
-
-fn measure_workers_sequential<E, W>(
-    mut workers: Vec<Worker<E, W>>,
-    arbiter_cfg: &MachineConfig,
-) -> (Vec<Worker<E, W>>, Duration)
-where
-    E: TxnEngine,
-    W: Workload,
-{
-    let t0 = Instant::now();
-    // Like the threaded driver, the run routes on worker 0's flag.
-    if arbiter_cfg.interconnect.enabled {
-        run_epochs_sequential(&mut workers);
-    } else {
-        // The reference schedule: one transaction per worker per round, in
-        // worker order — the sequential analogue of the threaded
-        // interleaving.
-        let mut remaining: Vec<u64> = workers.iter().map(|w| w.txns).collect();
-        while remaining.iter().any(|&r| r > 0) {
-            for (w, worker) in workers.iter_mut().enumerate() {
-                if remaining[w] > 0 {
-                    worker.one_txn();
-                    worker.engine.machine_mut().discard_mem_events();
-                    remaining[w] -= 1;
-                }
-            }
-        }
-    }
-    let host_elapsed = t0.elapsed();
-    (workers, host_elapsed)
-}
-
-/// The sequential analogue of [`Worker::run_measured_epochs`]: identical
-/// per-epoch arithmetic (run to the local-time boundary, merge all event
-/// streams in worker order, charge the delays), executed one worker at a
-/// time on the calling thread — so a threaded run must match it
-/// bit-for-bit.
-fn run_epochs_sequential<E: TxnEngine, W: Workload>(workers: &mut [Worker<E, W>]) {
-    let epoch_cycles = workers[0]
-        .engine
-        .machine()
-        .config()
-        .interconnect
-        .epoch_cycles
-        .max(1);
-    let mut ic = Interconnect::new(workers[0].engine.machine().config(), workers.len());
-    let mut remaining: Vec<u64> = workers.iter().map(|w| w.txns).collect();
-    let mut targets: Vec<u64> = workers
-        .iter()
-        .map(|w| w.engine.machine().cycles(SHARD_CORE) + epoch_cycles)
-        .collect();
-    // One stream buffer per worker, recycled across epochs exactly like
-    // the threaded driver's EpochSync slots.
-    let mut streams: Vec<Vec<MemEvent>> = vec![Vec::new(); workers.len()];
-    let mut llc_streams: Vec<Vec<LlcEvent>> = vec![Vec::new(); workers.len()];
-    loop {
-        for (w, worker) in workers.iter_mut().enumerate() {
-            remaining[w] = worker.run_until(remaining[w], targets[w]);
-            worker
-                .engine
-                .machine_mut()
-                .take_mem_events_into(&mut streams[w]);
-            worker
-                .engine
-                .machine_mut()
-                .take_llc_events_into(&mut llc_streams[w]);
-        }
-        let charges = ic.arbitrate_epoch(&streams, &llc_streams);
-        for (w, worker) in workers.iter_mut().enumerate() {
-            worker
-                .engine
-                .machine_mut()
-                .apply_epoch_charge(SHARD_CORE, &charges[w]);
-            targets[w] += epoch_cycles;
-        }
-        if remaining.iter().all(|&r| r == 0) {
-            break;
-        }
-    }
 }
 
 /// Runs `workload` on `engine`: setup, warm-up, then the measured phase —
@@ -928,28 +625,15 @@ fn single_measured<E: TxnEngine>(
 
     let stats = engine.machine().stats().diff(&base.stats);
     let txn_stats = engine.txn_stats().diff(&base.txn);
-
     let elapsed = (0..threads)
         .map(|c| engine.machine().cycles(CoreId::new(c)) - base.cycles[c])
         .max()
         .unwrap_or(0);
-    let freq_hz = engine.machine().config().freq_ghz * 1e9;
-    let tps = if elapsed == 0 {
-        0.0
-    } else {
-        txns as f64 / (elapsed as f64 / freq_hz)
-    };
-
-    RunResult {
-        engine: engine.name().to_string(),
-        workload: workload.name().to_string(),
-        txns,
-        elapsed_cycles: elapsed,
-        tps,
-        stats,
-        txn_stats,
-        latency,
-    }
+    RunResult::fold(
+        &*engine,
+        workload.name(),
+        [(txns, elapsed, &stats, &txn_stats, &latency)],
+    )
 }
 
 /// A warmed legacy-driver cell, snapshotted right before the measured
@@ -958,24 +642,13 @@ fn single_measured<E: TxnEngine>(
 /// [`WarmParallel`] — cloning yields an independent replica, and a
 /// restored clone's measured phase is bit-identical to a from-scratch
 /// [`run`] with the same `RunConfig`.
+#[derive(Clone)]
 pub struct WarmSingle<E> {
     engine: E,
     workload: Box<dyn Workload>,
     rng: SmallRng,
     threads: usize,
     base: SingleBase,
-}
-
-impl<E: TxnEngine + Clone> Clone for WarmSingle<E> {
-    fn clone(&self) -> Self {
-        Self {
-            engine: self.engine.clone(),
-            workload: self.workload.clone(),
-            rng: self.rng.clone(),
-            threads: self.threads,
-            base: self.base.clone(),
-        }
-    }
 }
 
 /// One finished legacy-driver cell: the merged measurements plus the
@@ -1335,6 +1008,71 @@ mod tests {
             &RunConfig {
                 threads: 3,
                 ..small_cfg()
+            },
+        );
+    }
+
+    /// Three shards whose worker 1 detonates after `fuse` transactions.
+    fn bombs(fuse: u64) -> impl Fn(usize) -> PanicBomb + Sync {
+        move |w| PanicBomb {
+            fuse: if w == 1 { fuse } else { u64::MAX },
+            inner: Sps::new(1024, KeyDist::uniform(1024)),
+        }
+    }
+
+    fn three_shards(_: usize) -> Ssp {
+        Ssp::new(
+            MachineConfig::default().shard_slice(3),
+            SspConfig::default(),
+        )
+    }
+
+    #[test]
+    #[should_panic]
+    fn panic_during_warm_up_fails_the_run_instead_of_hanging() {
+        // Worker 1 blows up inside its warm-up (20/3 ≈ 7 txns), while the
+        // others finish building.
+        run_parallel(
+            three_shards,
+            bombs(3),
+            &RunConfig {
+                threads: 3,
+                ..small_cfg()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn panicking_storm_worker_fails_the_run_instead_of_hanging() {
+        // The independent phase: the surviving workers finish their
+        // share and park at the phase's rendezvous.
+        crate::storm::run_storm(
+            three_shards,
+            bombs(12),
+            &RunConfig {
+                threads: 3,
+                ..small_cfg()
+            },
+            &crate::storm::StormSchedule::every_cycles(20_000),
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn panicking_shared_worker_fails_the_run_instead_of_hanging() {
+        // The OCC epoch phase: worker 1 dies mid-speculation while the
+        // others wait for the epoch merge.
+        crate::shared::run_shared(
+            three_shards,
+            bombs(12),
+            &RunConfig {
+                threads: 3,
+                ..small_cfg()
+            },
+            &crate::shared::SharedHeapConfig {
+                epoch_cycles: 5_000,
+                ..Default::default()
             },
         );
     }

@@ -52,28 +52,27 @@
 //!
 //! Workers are independent (own engine, machine shard, workload
 //! partition, RNG streams; the interconnect must be disabled), and every
-//! scheduling decision reads only the shard's virtual clock — so
-//! [`ExecMode::Threaded`], [`ExecMode::Sequential`] and repeated runs are
-//! bit-identical: served/shed/expired/retry counts, latency histograms,
-//! queue-drain curves, and post-recovery NVRAM fingerprints
-//! (`tests/service_mode.rs`).
+//! scheduling decision reads only the shard's virtual clock — so both
+//! execution modes and repeated runs are bit-identical: served/shed/
+//! expired/retry counts, latency histograms, queue-drain curves, and
+//! post-recovery NVRAM fingerprints (`tests/service_mode.rs`).
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use ssp_simulator::fault::{CrashPoint, FaultSite};
+use ssp_simulator::machine::Machine;
 use ssp_simulator::obs::{LatencyStats, ObsKind};
 use ssp_simulator::stats::MachineStats;
 use ssp_txn::engine::{TxnEngine, TxnStats};
 use ssp_txn::occ::BackoffPolicy;
 
+use crate::drive::{drive, fan_out, NoMerge, Shard};
 use crate::runner::{
-    worker_seed, worker_share, ExecMode, PoisonBarrier, PoisonOnPanic, RunConfig, RunResult,
-    Workload, SHARD_CORE,
+    worker_seed, worker_share, MeasureBase, RunConfig, RunResult, Workload, SHARD_CORE,
 };
-use crate::storm::{OracleEngine, StormPoint, StormSchedule};
+use crate::storm::{CutVerdict, OracleEngine, StormSchedule};
 
 /// Inter-arrival shape of the open-loop generator. All shapes have the
 /// same mean inter-arrival time ([`ServiceConfig::period_cycles`]); they
@@ -371,8 +370,11 @@ struct ServiceWorker<E, W> {
     seg_base: u64,
     /// EWMA of per-request service cycles (deadline-shed predictor).
     est_service: u64,
-    /// Index of the next storm-schedule point to arm.
+    /// The crash schedule (empty without one) and the index of its next
+    /// point to arm.
+    storm: StormSchedule,
     next_point: usize,
+    base: MeasureBase,
     w: usize,
 }
 
@@ -394,7 +396,13 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
             elapsed_accum: 0,
             seg_base: 0,
             est_service: EST_SERVICE_INIT,
+            storm: svc.storm.clone().unwrap_or(StormSchedule {
+                points: Vec::new(),
+                crash_during_recovery: false,
+                rearm: false,
+            }),
             next_point: 0,
+            base: MeasureBase::default(),
             w,
         }
     }
@@ -409,7 +417,7 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
     /// Setup + closed-loop warm-up (excluded from every counter), then
     /// the measured-phase baseline. The arrival schedule is relative to
     /// the phase start.
-    fn prepare(&mut self, warmup: u64) -> (MachineStats, TxnStats, u64) {
+    fn prepare(&mut self, warmup: u64) {
         self.workload.setup(&mut self.engine, SHARD_CORE);
         for _ in 0..warmup {
             self.engine.begin(SHARD_CORE);
@@ -420,38 +428,8 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
         self.engine.machine_mut().discard_mem_events();
         self.engine.set_recording(true);
         self.seg_base = self.engine.machine().cycles(SHARD_CORE);
-        self.arm_next();
-        (
-            self.engine.machine().stats().clone(),
-            self.engine.txn_stats().clone(),
-            self.engine.machine().cycles(SHARD_CORE),
-        )
-    }
-
-    /// Arms the next storm point, translating cycle deltas against the
-    /// current clock (like the crash-storm driver).
-    fn arm_next(&mut self) {
-        let Some(schedule) = self.cfg.storm.clone() else {
-            return;
-        };
-        let n = schedule.points.len();
-        if n == 0 {
-            return;
-        }
-        let idx = if schedule.rearm {
-            self.next_point % n
-        } else if self.next_point < n {
-            self.next_point
-        } else {
-            return;
-        };
-        let point = match schedule.points[idx] {
-            StormPoint::AfterCycles(delta) => {
-                CrashPoint::AtCycle(self.engine.machine().cycles(SHARD_CORE) + delta)
-            }
-            StormPoint::AtSite { site, hits } => CrashPoint::AtSite { site, hits },
-        };
-        self.engine.machine_mut().arm_crash(point);
+        self.storm.arm_next(0, self.engine.machine_mut());
+        self.base = MeasureBase::take(&self.engine);
     }
 
     fn depth(&self) -> u64 {
@@ -505,10 +483,8 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
     /// Pops the next dispatchable request: ready retries first (FIFO),
     /// then the main queue.
     fn pop_dispatchable(&mut self, now: u64) -> Option<Request> {
-        if let Some(front) = self.retryq.front() {
-            if front.ready_at <= now {
-                return self.retryq.pop_front();
-            }
+        if self.retryq.front().is_some_and(|r| r.ready_at <= now) {
+            return self.retryq.pop_front();
         }
         self.queue.pop_front()
     }
@@ -517,19 +493,16 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
     /// arrival or the earliest retry becoming ready.
     fn next_event(&self) -> Option<u64> {
         let arrival = self.arrivals.get(self.next_arrival).copied();
-        let retry = self.retryq.iter().map(|r| r.ready_at).min();
-        match (arrival, retry) {
-            (Some(a), Some(r)) => Some(a.min(r)),
-            (Some(a), None) => Some(a),
-            (None, Some(r)) => Some(r),
-            (None, None) => None,
-        }
+        arrival
+            .into_iter()
+            .chain(self.retryq.iter().map(|r| r.ready_at))
+            .min()
     }
 
     /// One scheduling step: admit due arrivals, then serve one group or
     /// idle-advance to the next event. Returns `false` once fully
     /// drained (no arrivals, queue and retry queue empty).
-    fn step(&mut self) -> bool {
+    fn tick(&mut self) -> bool {
         self.admit_due();
         let now = self.now();
         let dispatchable =
@@ -588,10 +561,7 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
             // Fresh requests run off (and advance) the main stream;
             // retries replay their snapshot without touching it. Either
             // way the request keeps a snapshot for a possible retry.
-            let snap = match req.rng.take() {
-                Some(r) => r,
-                None => self.rng.clone(),
-            };
+            let snap = req.rng.take().unwrap_or_else(|| self.rng.clone());
             let mut run_rng = snap.clone();
             let e0 = self.engine.machine().cycles(SHARD_CORE);
             self.workload
@@ -647,53 +617,28 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
     /// empty for cuts landing on an idle shard.
     fn storm_dance(&mut self, batch: Vec<Request>) {
         self.service.storms += 1;
-        let cut = self.engine.machine().cycles(SHARD_CORE);
-        self.elapsed_accum += cut.saturating_sub(self.seg_base);
+        let now = self.engine.machine().cycles(SHARD_CORE);
+        self.elapsed_accum += now.saturating_sub(self.seg_base);
 
         // Group commit is all-or-nothing: the whole batch either rolled
-        // back or its commit mark beat the freeze.
-        let mut dropped = self.engine.oracle().clone();
-        dropped.on_crash();
-        let mut kept = self.engine.oracle().clone();
-        kept.on_commit(SHARD_CORE);
-        kept.on_crash();
-
-        self.engine.crash();
-        if self
-            .cfg
-            .storm
-            .as_ref()
-            .is_some_and(|s| s.crash_during_recovery)
-        {
-            self.engine.machine_mut().arm_crash(CrashPoint::AtSite {
-                site: FaultSite::Recovery,
-                hits: 1,
-            });
+        // back or its commit mark beat the freeze. Recovery is charged to
+        // the shard clock, so arrivals keep accruing through the outage.
+        let cut = self
+            .engine
+            .resolve_cut(self.storm.crash_during_recovery, true);
+        self.service.unavailability_cycles += cut.passes.iter().map(|p| p.est_cycles).sum::<u64>();
+        if let [torn, _] = cut.passes[..] {
+            // Recovery itself was cut: both spans are unavailability, and
+            // both count in service time.
+            self.elapsed_accum += torn.clock;
         }
-        self.service.unavailability_cycles += self.run_recovery();
-        if self.engine.machine().power_lost() {
-            // Recovery itself was cut; a second, clean pass must succeed
-            // from the same NVRAM image. Both spans are unavailability,
-            // and both count in service time.
-            self.elapsed_accum += self.engine.machine().cycles(SHARD_CORE);
-            self.engine.crash();
-            self.service.unavailability_cycles += self.run_recovery();
+        let recovered = cut.passes[cut.passes.len() - 1].clock;
+        let group_kept = cut.verdict == CutVerdict::Kept;
+        match cut.verdict {
+            CutVerdict::Dropped => self.service.torn_dropped += u64::from(!batch.is_empty()),
+            CutVerdict::Kept => self.service.torn_kept += u64::from(!batch.is_empty()),
+            CutVerdict::Lost => self.service.lost += 1,
         }
-        let recovered = self.engine.machine().cycles(SHARD_CORE);
-
-        let group_kept = if dropped.verify(&mut self.engine, SHARD_CORE).is_ok() {
-            self.service.torn_dropped += u64::from(!batch.is_empty());
-            self.engine.set_oracle(dropped);
-            false
-        } else if kept.verify(&mut self.engine, SHARD_CORE).is_ok() {
-            self.service.torn_kept += u64::from(!batch.is_empty());
-            self.engine.set_oracle(kept);
-            true
-        } else {
-            self.service.lost += 1;
-            self.engine.set_oracle(dropped);
-            false
-        };
         // Oracle verification is harness bookkeeping: exclude its loads
         // from service time by re-basing the segment so `now()` resumes
         // at the post-recovery instant.
@@ -728,50 +673,22 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
             }
         }
         self.next_point += 1;
-        self.arm_next();
+        self.storm
+            .arm_next(self.next_point, self.engine.machine_mut());
         self.sample_curve();
-    }
-
-    /// Replays recovery and returns its estimated latency in cycles
-    /// (NVRAM reads and writes at the configured device latencies, like
-    /// the crash-storm driver's recovery metric). The estimate is
-    /// charged to the shard clock — `recover()` itself does not advance
-    /// the core clock — so arrivals keep accruing through the outage.
-    fn run_recovery(&mut self) -> u64 {
-        let before = self.engine.machine().stats().clone();
-        self.engine.recover();
-        let est = {
-            let d = self.engine.machine().stats().diff(&before);
-            let cfg = self.engine.machine().config();
-            d.nvram_reads * cfg.ns_to_cycles(cfg.nvram.read_ns)
-                + d.nvram_writes_total() * cfg.ns_to_cycles(cfg.nvram.write_ns)
-        };
-        self.engine.machine_mut().add_cycles(SHARD_CORE, est);
-        est
     }
 
     /// Final quiesce after the drain: snapshot the measured counters,
     /// then power off, fingerprint the durable image, recover, and
     /// verify the oracle one last time.
-    fn finish(mut self, base: (MachineStats, TxnStats, u64)) -> ServiceShardRun<E> {
+    fn finish(mut self) -> ServiceShardRun<E> {
         debug_assert!(self.queue.is_empty() && self.retryq.is_empty());
         self.service.in_queue = self.depth();
         let elapsed_cycles = self.now();
-        let (stats_base, txn_base, _) = base;
-        let stats = self.engine.machine().stats().diff(&stats_base);
-        let txn_stats = self.engine.txn_stats().diff(&txn_base);
+        let (stats, txn_stats) = self.base.since(&self.engine);
         self.sample_curve();
-
-        self.engine.machine_mut().disarm_crash();
-        self.engine.crash();
-        self.engine.oracle_mut().on_crash();
-        let fingerprint = self.engine.machine().nvram_fingerprint();
-        self.engine.recover();
-        let oracle = self.engine.oracle().clone();
-        if oracle.verify(&mut self.engine, SHARD_CORE).is_err() {
-            self.service.lost += 1;
-        }
-        self.engine.machine_mut().discard_mem_events();
+        let (fingerprint, _, verified) = self.engine.quiesce();
+        self.service.lost += u64::from(!verified);
         ServiceShardRun {
             worker: self.w,
             txns: self.service.served,
@@ -787,45 +704,17 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
     }
 }
 
-type ShardBase = (MachineStats, TxnStats, u64);
-
-fn assemble<E: TxnEngine>(
-    shards: Vec<ServiceShardRun<E>>,
-    workload_name: &'static str,
-    host_elapsed: Duration,
-) -> ServiceRun<E> {
-    let mut stats = MachineStats::new();
-    let mut txn_stats = TxnStats::default();
-    let mut latency = LatencyStats::default();
-    let mut service = ServiceStats::default();
-    for shard in &shards {
-        stats.merge(&shard.stats);
-        txn_stats.merge(&shard.txn_stats);
-        latency.merge(&shard.latency);
-        service.merge(&shard.service);
+impl<E: TxnEngine, W: Workload> Shard<()> for ServiceWorker<E, W> {
+    fn machine(&mut self) -> &mut Machine {
+        self.engine.machine_mut()
     }
-    let elapsed = shards.iter().map(|s| s.elapsed_cycles).max().unwrap_or(0);
-    let freq_hz = shards[0].engine.machine().config().freq_ghz * 1e9;
-    let tps = if elapsed == 0 {
-        0.0
-    } else {
-        service.served as f64 / (elapsed as f64 / freq_hz)
-    };
-    let result = RunResult {
-        engine: shards[0].engine.name().to_string(),
-        workload: workload_name.to_string(),
-        txns: service.served,
-        elapsed_cycles: elapsed,
-        tps,
-        stats,
-        txn_stats,
-        latency,
-    };
-    ServiceRun {
-        result,
-        service,
-        shards,
-        host_elapsed,
+
+    fn step(&mut self, until: u64) -> bool {
+        let mut more = true;
+        while more && self.engine.machine().cycles(SHARD_CORE) < until {
+            more = self.tick();
+        }
+        more
     }
 }
 
@@ -849,76 +738,33 @@ where
     E: TxnEngine,
     W: Workload,
 {
-    assert!(cfg.threads >= 1, "at least one worker");
-    let build = |w: usize| {
-        let worker = ServiceWorker::new(mk_engine(w), mk_workload(w), cfg, svc, w);
+    let workers = fan_out(cfg.mode, cfg.threads, |w| {
+        let mut worker = ServiceWorker::new(mk_engine(w), mk_workload(w), cfg, svc, w);
         assert!(
             !worker.engine.machine().config().interconnect.enabled,
             "run_service requires the interconnect disabled"
         );
+        worker.prepare(worker_share(cfg.warmup, cfg.threads, w));
         worker
-    };
-    let workload_name = mk_workload(0).name();
-    match cfg.mode {
-        ExecMode::Threaded => {
-            let threads = cfg.threads;
-            let start = PoisonBarrier::new(threads + 1);
-            let end = PoisonBarrier::new(threads + 1);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|w| {
-                        let build = &build;
-                        let (start, end) = (&start, &end);
-                        scope.spawn(move || {
-                            let _poison = PoisonOnPanic(vec![start, end]);
-                            let mut worker = build(w);
-                            let base = worker.prepare(worker_share(cfg.warmup, threads, w));
-                            start.wait();
-                            while worker.step() {}
-                            end.wait();
-                            worker.finish(base)
-                        })
-                    })
-                    .collect();
-                start.wait();
-                let t0 = Instant::now();
-                end.wait();
-                let host_elapsed = t0.elapsed();
-                let shards = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("service worker panicked"))
-                    .collect();
-                assemble(shards, workload_name, host_elapsed)
-            })
-        }
-        ExecMode::Sequential => {
-            // The reference schedule: one scheduling step per worker per
-            // round. Workers are independent, so this replays the
-            // identical per-shard decision sequences the threaded mode
-            // runs.
-            let mut workers: Vec<ServiceWorker<E, W>> = (0..cfg.threads).map(build).collect();
-            let bases: Vec<ShardBase> = workers
-                .iter_mut()
-                .enumerate()
-                .map(|(w, worker)| worker.prepare(worker_share(cfg.warmup, cfg.threads, w)))
-                .collect();
-            let t0 = Instant::now();
-            let mut live: Vec<bool> = vec![true; cfg.threads];
-            while live.iter().any(|&l| l) {
-                for (w, worker) in workers.iter_mut().enumerate() {
-                    if live[w] {
-                        live[w] = worker.step();
-                    }
-                }
-            }
-            let host_elapsed = t0.elapsed();
-            let shards = workers
-                .into_iter()
-                .zip(bases)
-                .map(|(worker, base)| worker.finish(base))
-                .collect();
-            assemble(shards, workload_name, host_elapsed)
-        }
+    });
+    let workload = workers[0].workload.name();
+    let (shards, host_elapsed) = drive(cfg.mode, workers, &mut NoMerge, ServiceWorker::finish);
+    let mut service = ServiceStats::default();
+    for shard in &shards {
+        service.merge(&shard.service);
+    }
+    let result = RunResult::fold(
+        &shards[0].engine,
+        workload,
+        shards
+            .iter()
+            .map(|s| (s.txns, s.elapsed_cycles, &s.stats, &s.txn_stats, &s.latency)),
+    );
+    ServiceRun {
+        result,
+        service,
+        shards,
+        host_elapsed,
     }
 }
 
@@ -926,6 +772,7 @@ where
 mod tests {
     use super::*;
     use crate::dist::KeyDist;
+    use crate::runner::ExecMode;
     use crate::sps::Sps;
     use ssp_core::engine::Ssp;
     use ssp_core::SspConfig;

@@ -31,11 +31,11 @@
 //!    after a deterministic bounded-exponential backoff is charged to
 //!    the worker's clock.
 //!
-//! When the machine config enables the interconnect, the same barrier
-//! also carries the memory-event streams and the epoch merge charges
+//! The three steps are the step, merge and absorb of the crate's epoch
+//! kernel. When the machine config enables the interconnect, the same
+//! merge also arbitrates the memory-event streams and charges
 //! bank/LLC/coherence contention exactly like
-//! [`run_parallel`](crate::runner::run_parallel) — commit intents ride
-//! the existing epoch machinery.
+//! [`run_parallel`](crate::runner::run_parallel).
 //!
 //! # Requirements on workloads
 //!
@@ -50,17 +50,14 @@
 //! conflict-dial workload for this driver.
 
 use std::collections::VecDeque;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fxhash::FxHashMap;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ssp_simulator::addr::{VirtAddr, Vpn, LINE_SIZE};
 use ssp_simulator::cache::CoreId;
-use ssp_simulator::config::MachineConfig;
 use ssp_simulator::fault::{CrashPoint, FaultSite};
-use ssp_simulator::interconnect::{EpochCharge, Interconnect, LlcEvent, MemEvent};
 use ssp_simulator::machine::Machine;
 use ssp_simulator::obs::{LatencyStats, ObsKind};
 use ssp_simulator::stats::MachineStats;
@@ -69,11 +66,11 @@ use ssp_txn::occ::{
     validate_epoch, BackoffPolicy, CommitIntent, LineWrite, SpecTxn, Verdict, VersionedHeap,
 };
 
+use crate::drive::{drive, fan_out, Board, IcMerge, Merge, Shard};
 use crate::runner::{
-    worker_seed, worker_share, ExecMode, PoisonBarrier, PoisonOnPanic, RunConfig, RunResult,
-    Workload, SHARD_CORE,
+    worker_seed, worker_share, ExecMode, MeasureBase, RunConfig, RunResult, Workload, SHARD_CORE,
 };
-use crate::storm::OracleEngine;
+use crate::storm::{CutVerdict, OracleEngine};
 
 /// Knobs of the shared-heap mode (the conflict *rate* is a workload
 /// knob — see [`ConflictSps`](crate::conflict::ConflictSps)).
@@ -308,47 +305,58 @@ impl<E: TxnEngine> TxnEngine for CaptureView<'_, E> {
     }
 }
 
-/// Rendezvous state for the shared-heap epoch protocol (the commit
-/// intents ride the same boundary as the interconnect streams).
-struct SharedSync {
-    barrier: PoisonBarrier,
-    state: Mutex<SharedState>,
-}
-
-struct SharedState {
+/// One shard's OCC payload: its epoch's intents in, the verdicts and the
+/// next heap snapshot back.
+#[derive(Default)]
+struct OccSlot {
+    intents: Vec<CommitIntent>,
+    verdicts: Vec<Verdict>,
     heap: VersionedHeap,
-    interconnect: Option<Interconnect>,
-    streams: Vec<Vec<MemEvent>>,
-    llc_streams: Vec<Vec<LlcEvent>>,
-    intents: Vec<Vec<CommitIntent>>,
-    verdicts: Vec<Vec<Verdict>>,
-    outstanding: Vec<u64>,
-    charges: Vec<EpochCharge>,
-    done: bool,
 }
 
-impl SharedSync {
-    fn new(workers: usize) -> Self {
-        Self {
-            barrier: PoisonBarrier::new(workers),
-            state: Mutex::new(SharedState {
-                heap: VersionedHeap::new(),
-                interconnect: None,
-                streams: vec![Vec::new(); workers],
-                llc_streams: vec![Vec::new(); workers],
-                intents: vec![Vec::new(); workers],
-                verdicts: vec![Vec::new(); workers],
-                outstanding: vec![u64::MAX; workers],
-                charges: vec![EpochCharge::default(); workers],
-                done: false,
-            }),
+/// The OCC merge: optional interconnect arbitration, then
+/// first-committer-wins validation of every shard's intents against the
+/// canonical heap, publishing the winners into its next version.
+struct OccMerge {
+    heap: VersionedHeap,
+    ic: Option<IcMerge>,
+    epoch: u64,
+}
+
+impl Merge<OccSlot> for OccMerge {
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    fn arbitrates(&self) -> bool {
+        self.ic.is_some()
+    }
+
+    fn merge(&mut self, board: &mut Board<OccSlot>, cut: bool) -> bool {
+        if let Some(ic) = &mut self.ic {
+            ic.merge(board, cut);
         }
+        let intents: Vec<Vec<CommitIntent>> = board
+            .x
+            .iter_mut()
+            .map(|slot| std::mem::take(&mut slot.intents))
+            .collect();
+        let verdicts = validate_epoch(&mut self.heap, &intents);
+        let settled = verdicts.iter().flatten().all(|v| *v == Verdict::Won);
+        for ((slot, intents), verdicts) in board.x.iter_mut().zip(intents).zip(verdicts) {
+            slot.intents = intents;
+            slot.verdicts = verdicts;
+            slot.heap = self.heap.clone();
+        }
+        settled
     }
 }
 
 /// Per-worker driver state.
 struct SharedWorker<E, W> {
-    engine: E,
+    /// Oracle-wrapped so the crash probe can check publications; plain
+    /// runs never turn recording on.
+    engine: OracleEngine<E>,
     workload: W,
     rng: SmallRng,
     lat: LatencyStats,
@@ -366,26 +374,40 @@ struct SharedWorker<E, W> {
     /// Fresh transactions not yet started.
     fresh: u64,
     shared: SharedStats,
+    /// Power cuts during publication replays (crash probe only).
+    cuts: SharedCrashReport,
     backoff: BackoffPolicy,
-    /// Epoch length when the interconnect is disabled.
-    epoch_fallback: u64,
+    base: MeasureBase,
     w: usize,
 }
 
 impl<E: TxnEngine, W: Workload> SharedWorker<E, W> {
+    /// Builds the worker and runs workload setup through the capture
+    /// view: the local shard gets its real persistent state (identical on
+    /// every worker) and the heap gets the seed bytes.
     fn new(
         engine: E,
-        workload: W,
+        mut workload: W,
         cfg: &RunConfig,
         shared_cfg: &SharedHeapConfig,
         w: usize,
     ) -> Self {
+        let mut engine = OracleEngine::new(engine);
+        let mut heap = VersionedHeap::new();
+        workload.setup(
+            &mut CaptureView {
+                inner: &mut engine,
+                heap: &mut heap,
+            },
+            SHARD_CORE,
+        );
+        engine.machine_mut().discard_mem_events();
         Self {
             engine,
             workload,
             rng: SmallRng::seed_from_u64(worker_seed(cfg.seed, w)),
             lat: LatencyStats::default(),
-            heap: VersionedHeap::new(),
+            heap,
             overlay: FxHashMap::default(),
             spec: SpecTxn::new(),
             pending_intents: Vec::new(),
@@ -393,26 +415,11 @@ impl<E: TxnEngine, W: Workload> SharedWorker<E, W> {
             retries: VecDeque::new(),
             fresh: 0,
             shared: SharedStats::default(),
+            cuts: SharedCrashReport::default(),
             backoff: shared_cfg.backoff,
-            epoch_fallback: shared_cfg.epoch_cycles,
+            base: MeasureBase::default(),
             w,
         }
-    }
-
-    /// Runs workload setup through the capture view: the local shard
-    /// gets its real persistent state (identical on every worker) and
-    /// the heap gets the seed bytes.
-    fn setup_capture(&mut self) {
-        let mut heap = VersionedHeap::new();
-        {
-            let mut view = CaptureView {
-                inner: &mut self.engine,
-                heap: &mut heap,
-            };
-            self.workload.setup(&mut view, SHARD_CORE);
-        }
-        self.engine.machine_mut().discard_mem_events();
-        self.heap = heap;
     }
 
     fn outstanding(&self) -> u64 {
@@ -489,112 +496,56 @@ impl<E: TxnEngine, W: Workload> SharedWorker<E, W> {
         self.lat.txn.record(intent.exec_cycles + (m2 - m0));
     }
 
-    /// Applies one epoch's verdicts: replay winners in submission order,
-    /// queue losers for retry.
-    fn resolve(&mut self, verdicts: &[Verdict], intents: Vec<CommitIntent>) {
+    /// Applies one epoch's verdicts: replays winners in submission order,
+    /// queues losers for retry. Every publication is polled for a power
+    /// cut, which is resolved against the oracle like a crash-storm cut;
+    /// returns whether one reset the shard's clock.
+    fn resolve(&mut self, verdicts: &[Verdict], intents: Vec<CommitIntent>) -> bool {
         let meta = std::mem::take(&mut self.pending_meta);
         debug_assert_eq!(verdicts.len(), intents.len());
+        let mut cut = false;
         for ((verdict, intent), (rng_before, attempt)) in verdicts.iter().zip(intents).zip(meta) {
             self.shared.validated += 1;
-            match verdict {
-                Verdict::Won => {
-                    self.shared.committed += 1;
-                    self.shared.max_attempt = self.shared.max_attempt.max(attempt as u64);
-                    self.engine
-                        .machine_mut()
-                        .obs_record(ObsKind::OccValidate, attempt as u64);
-                    self.replay(&intent);
-                }
-                Verdict::Conflict | Verdict::Cascade => {
-                    self.shared.aborted += 1;
-                    if *verdict == Verdict::Conflict {
-                        self.shared.conflicts += 1;
-                    } else {
-                        self.shared.cascades += 1;
-                    }
-                    self.engine
-                        .machine_mut()
-                        .obs_record(ObsKind::OccAbort, attempt as u64 + 1);
-                    self.retries.push_back((rng_before, attempt + 1));
-                }
-            }
-        }
-    }
-
-    /// One complete phase (all workers drain `fresh` + retries) of the
-    /// threaded epoch protocol. Mirrors
-    /// `Worker::run_measured_epochs`, with commit intents riding the
-    /// same rendezvous as the interconnect streams.
-    fn run_phase_threaded(&mut self, sync: &SharedSync, arbiter_cfg: &MachineConfig) {
-        let ic_enabled = arbiter_cfg.interconnect.enabled;
-        let epoch_cycles = phase_epoch_cycles(arbiter_cfg, self.epoch_fallback);
-        let w = self.w;
-        let mut target = self.engine.machine().cycles(SHARD_CORE) + epoch_cycles;
-        loop {
-            self.run_epoch(target);
-            {
-                let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                if ic_enabled {
-                    self.engine
-                        .machine_mut()
-                        .take_mem_events_into(&mut st.streams[w]);
-                    self.engine
-                        .machine_mut()
-                        .take_llc_events_into(&mut st.llc_streams[w]);
-                } else {
-                    self.engine.machine_mut().discard_mem_events();
-                }
-                st.intents[w] = std::mem::take(&mut self.pending_intents);
-                st.outstanding[w] = self.outstanding();
-            }
-            if sync.barrier.wait() {
-                let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                let st = &mut *st;
-                if ic_enabled {
-                    let shards = st.streams.len();
-                    let ic = st
-                        .interconnect
-                        .get_or_insert_with(|| Interconnect::new(arbiter_cfg, shards));
-                    st.charges = ic.arbitrate_epoch(&st.streams, &st.llc_streams);
-                }
-                st.verdicts = validate_epoch(&mut st.heap, &st.intents);
-                st.done = st.outstanding.iter().all(|&r| r == 0)
-                    && st.verdicts.iter().flatten().all(|v| *v == Verdict::Won);
-            }
-            sync.barrier.wait();
-            let (charge, done, verdicts, intents, heap) = {
-                let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                let st = &mut *st;
-                (
-                    st.charges[w],
-                    st.done,
-                    std::mem::take(&mut st.verdicts[w]),
-                    std::mem::take(&mut st.intents[w]),
-                    st.heap.clone(),
-                )
-            };
-            if ic_enabled {
+            if *verdict == Verdict::Won {
+                self.shared.committed += 1;
+                self.shared.max_attempt = self.shared.max_attempt.max(attempt as u64);
                 self.engine
                     .machine_mut()
-                    .apply_epoch_charge(SHARD_CORE, &charge);
+                    .obs_record(ObsKind::OccValidate, attempt as u64);
+                self.replay(&intent);
+                if self.engine.machine().power_lost() {
+                    self.cuts.storms += 1;
+                    match self.engine.resolve_cut(false, false).verdict {
+                        CutVerdict::Dropped => self.cuts.torn_dropped += 1,
+                        CutVerdict::Kept => self.cuts.torn_kept += 1,
+                        CutVerdict::Lost => self.cuts.lost += 1,
+                    }
+                    cut = true;
+                } else {
+                    self.engine.oracle_mut().on_commit(SHARD_CORE);
+                }
+                continue;
             }
-            self.heap = heap;
-            self.resolve(&verdicts, intents);
-            if done {
-                break;
+            self.shared.aborted += 1;
+            if *verdict == Verdict::Conflict {
+                self.shared.conflicts += 1;
+            } else {
+                self.shared.cascades += 1;
             }
-            target += epoch_cycles;
+            self.engine
+                .machine_mut()
+                .obs_record(ObsKind::OccAbort, attempt as u64 + 1);
+            self.retries.push_back((rng_before, attempt + 1));
         }
+        cut
     }
 
-    fn finish(mut self, base: (MachineStats, TxnStats, u64)) -> SharedShardRun<E> {
-        let (stats_base, txn_base, cycles_base) = base;
-        let stats = self.engine.machine().stats().diff(&stats_base);
-        let mut txn_stats = self.engine.txn_stats().diff(&txn_base);
+    fn finish(mut self) -> SharedShardRun<E> {
+        let (stats, mut txn_stats) = self.base.since(&self.engine);
+        let elapsed_cycles = self.engine.machine().cycles(SHARD_CORE) - self.base.cycles;
         // The engine only ever sees winning replays; OCC aborts are the
         // shared-heap mode's aborts and fold into the same counter.
         txn_stats.aborted += self.shared.aborted;
-        let elapsed_cycles = self.engine.machine().cycles(SHARD_CORE) - cycles_base;
         self.engine.machine_mut().discard_mem_events();
         SharedShardRun {
             worker: self.w,
@@ -604,24 +555,78 @@ impl<E: TxnEngine, W: Workload> SharedWorker<E, W> {
             txn_stats,
             latency: self.lat,
             shared: self.shared,
-            engine: self.engine,
+            engine: self.engine.into_inner(),
         }
     }
 }
 
-/// Epoch length of the shared-heap protocol: an enabled interconnect's
-/// boundary (so commit intents and memory streams share one rendezvous),
-/// else the shared-heap config's own.
-fn phase_epoch_cycles(cfg: &MachineConfig, fallback: u64) -> u64 {
-    if cfg.interconnect.enabled {
-        cfg.interconnect.epoch_cycles.max(1)
-    } else {
-        fallback.max(1)
+impl<E: TxnEngine, W: Workload> Shard<OccSlot> for SharedWorker<E, W> {
+    fn machine(&mut self) -> &mut Machine {
+        self.engine.machine_mut()
+    }
+
+    fn step(&mut self, until: u64) -> bool {
+        self.run_epoch(until);
+        self.outstanding() > 0
+    }
+
+    fn deposit(&mut self, x: &mut OccSlot) {
+        x.intents = std::mem::take(&mut self.pending_intents);
+    }
+
+    fn absorb(&mut self, x: &mut OccSlot) -> bool {
+        self.heap = std::mem::take(&mut x.heap);
+        let verdicts = std::mem::take(&mut x.verdicts);
+        self.resolve(&verdicts, std::mem::take(&mut x.intents))
     }
 }
 
-/// Runs a shared-heap OCC run over `cfg.threads` workers (see the
-/// module docs for the protocol and determinism contract).
+/// Builds and sets up the workers, and the OCC merge every phase of the
+/// run shares.
+fn start<E: TxnEngine, W: Workload>(
+    mk_engine: impl Fn(usize) -> E + Sync,
+    mk_workload: impl Fn(usize) -> W + Sync,
+    cfg: &RunConfig,
+    shared_cfg: &SharedHeapConfig,
+) -> (Vec<SharedWorker<E, W>>, OccMerge) {
+    let workers = fan_out(cfg.mode, cfg.threads, |w| {
+        SharedWorker::new(mk_engine(w), mk_workload(w), cfg, shared_cfg, w)
+    });
+    // Setups are identical on every worker, so worker 0's seed heap is
+    // *the* heap. An enabled interconnect's boundary takes precedence, so
+    // commit intents and memory streams share one rendezvous.
+    let arbiter = workers[0].engine.machine().config();
+    let ic = arbiter.interconnect.enabled.then(|| IcMerge::new(arbiter));
+    let merge = OccMerge {
+        heap: workers[0].heap.clone(),
+        epoch: ic
+            .as_ref()
+            .map_or(shared_cfg.epoch_cycles.max(1), Merge::<OccSlot>::epoch),
+        ic,
+    };
+    (workers, merge)
+}
+
+/// One phase: every worker drains its share of `txns` fresh transactions
+/// plus every retry, then goes to `finish`.
+fn phase<E: TxnEngine, W: Workload, T: Send>(
+    mode: ExecMode,
+    mut workers: Vec<SharedWorker<E, W>>,
+    txns: u64,
+    merge: &mut OccMerge,
+    finish: impl Fn(SharedWorker<E, W>) -> T + Sync,
+) -> (Vec<T>, Duration) {
+    let n = workers.len();
+    for (w, worker) in workers.iter_mut().enumerate() {
+        worker.fresh = worker_share(txns, n, w);
+    }
+    drive(mode, workers, merge, finish)
+}
+
+/// Runs a shared-heap OCC run over `cfg.threads` workers (see the module
+/// docs for the protocol and determinism contract): a warm-up phase of
+/// the full epoch protocol, then the measured phase from clean
+/// baselines.
 ///
 /// # Panics
 ///
@@ -636,230 +641,37 @@ where
     E: TxnEngine,
     W: Workload,
 {
-    assert!(cfg.threads >= 1, "at least one worker");
-    match cfg.mode {
-        ExecMode::Threaded => run_shared_threaded(mk_engine, mk_workload, cfg, shared_cfg),
-        ExecMode::Sequential => run_shared_sequential(mk_engine, mk_workload, cfg, shared_cfg),
-    }
-}
-
-type ShardBase = (MachineStats, TxnStats, u64);
-
-fn snapshot_base<E: TxnEngine, W: Workload>(worker: &SharedWorker<E, W>) -> ShardBase {
-    (
-        worker.engine.machine().stats().clone(),
-        worker.engine.txn_stats().clone(),
-        worker.engine.machine().cycles(SHARD_CORE),
-    )
-}
-
-fn assemble<E: TxnEngine, W: Workload>(
-    workers: Vec<SharedWorker<E, W>>,
-    bases: Vec<ShardBase>,
-    txns_total: u64,
-    host_elapsed: Duration,
-) -> SharedRun<E> {
-    let workload_name = workers[0].workload.name();
-    let shards: Vec<SharedShardRun<E>> = workers
-        .into_iter()
-        .zip(bases)
-        .map(|(worker, base)| worker.finish(base))
-        .collect();
-    let mut stats = MachineStats::new();
-    let mut txn_stats = TxnStats::default();
-    let mut latency = LatencyStats::default();
+    let (workers, mut merge) = start(mk_engine, mk_workload, cfg, shared_cfg);
+    let (workers, _) = phase(cfg.mode, workers, cfg.warmup, &mut merge, |mut worker| {
+        worker.base = MeasureBase::take(&worker.engine);
+        worker.lat.reset();
+        worker.shared = SharedStats::default();
+        worker
+    });
+    let workload = workers[0].workload.name();
+    let (shards, host_elapsed) = phase(
+        cfg.mode,
+        workers,
+        cfg.txns,
+        &mut merge,
+        SharedWorker::finish,
+    );
     let mut shared = SharedStats::default();
     for shard in &shards {
-        stats.merge(&shard.stats);
-        txn_stats.merge(&shard.txn_stats);
-        latency.merge(&shard.latency);
         shared.merge(&shard.shared);
     }
-    let elapsed = shards.iter().map(|s| s.elapsed_cycles).max().unwrap_or(0);
-    let freq_hz = shards[0].engine.machine().config().freq_ghz * 1e9;
-    let tps = if elapsed == 0 {
-        0.0
-    } else {
-        txns_total as f64 / (elapsed as f64 / freq_hz)
-    };
-    let result = RunResult {
-        engine: shards[0].engine.name().to_string(),
-        workload: workload_name.to_string(),
-        txns: txns_total,
-        elapsed_cycles: elapsed,
-        tps,
-        stats,
-        txn_stats,
-        latency,
-    };
+    let result = RunResult::fold(
+        &shards[0].engine,
+        workload,
+        shards
+            .iter()
+            .map(|s| (s.txns, s.elapsed_cycles, &s.stats, &s.txn_stats, &s.latency)),
+    );
     SharedRun {
         result,
         shared,
         shards,
         host_elapsed,
-    }
-}
-
-fn run_shared_threaded<E, W>(
-    mk_engine: impl Fn(usize) -> E + Sync,
-    mk_workload: impl Fn(usize) -> W + Sync,
-    cfg: &RunConfig,
-    shared_cfg: &SharedHeapConfig,
-) -> SharedRun<E>
-where
-    E: TxnEngine,
-    W: Workload,
-{
-    let threads = cfg.threads;
-    let sync = SharedSync::new(threads);
-    let start = PoisonBarrier::new(threads + 1);
-    let end = PoisonBarrier::new(threads + 1);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let (mk_engine, mk_workload) = (&mk_engine, &mk_workload);
-                let (sync, start, end) = (&sync, &start, &end);
-                scope.spawn(move || {
-                    let _poison = PoisonOnPanic(vec![start, end, &sync.barrier]);
-                    let mut worker =
-                        SharedWorker::new(mk_engine(w), mk_workload(w), cfg, shared_cfg, w);
-                    worker.setup_capture();
-                    // Seed the canonical heap once; setups are identical
-                    // on every worker, so any leader's copy is *the*
-                    // copy.
-                    if sync.barrier.wait() {
-                        let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                        st.heap = worker.heap.clone();
-                    }
-                    sync.barrier.wait();
-                    let arbiter_cfg = worker.engine.machine().config().clone();
-                    // Warm-up phase: full epoch protocol, measured from
-                    // clean baselines afterwards.
-                    worker.fresh = worker_share(cfg.warmup, threads, w);
-                    worker.run_phase_threaded(sync, &arbiter_cfg);
-                    let base = snapshot_base(&worker);
-                    worker.lat.reset();
-                    worker.shared = SharedStats::default();
-                    start.wait();
-                    worker.fresh = worker_share(cfg.txns, threads, w);
-                    worker.run_phase_threaded(sync, &arbiter_cfg);
-                    end.wait();
-                    (worker, base)
-                })
-            })
-            .collect();
-        start.wait();
-        let t0 = Instant::now();
-        end.wait();
-        let host_elapsed = t0.elapsed();
-        let (workers, bases): (Vec<_>, Vec<_>) = handles
-            .into_iter()
-            .map(|h| h.join().expect("shared-heap worker thread panicked"))
-            .unzip();
-        assemble(workers, bases, cfg.txns, host_elapsed)
-    })
-}
-
-fn run_shared_sequential<E, W>(
-    mk_engine: impl Fn(usize) -> E + Sync,
-    mk_workload: impl Fn(usize) -> W + Sync,
-    cfg: &RunConfig,
-    shared_cfg: &SharedHeapConfig,
-) -> SharedRun<E>
-where
-    E: TxnEngine,
-    W: Workload,
-{
-    let threads = cfg.threads;
-    let mut workers: Vec<SharedWorker<E, W>> = (0..threads)
-        .map(|w| {
-            let mut worker = SharedWorker::new(mk_engine(w), mk_workload(w), cfg, shared_cfg, w);
-            worker.setup_capture();
-            worker
-        })
-        .collect();
-    let mut heap = workers[0].heap.clone();
-    let mut ic: Option<Interconnect> = None;
-    let arbiter_cfg = workers[0].engine.machine().config().clone();
-    for (w, worker) in workers.iter_mut().enumerate() {
-        worker.fresh = worker_share(cfg.warmup, threads, w);
-    }
-    run_phase_sequential(&mut workers, &mut heap, &mut ic, &arbiter_cfg);
-    let bases: Vec<ShardBase> = workers.iter().map(snapshot_base).collect();
-    for worker in workers.iter_mut() {
-        worker.lat.reset();
-        worker.shared = SharedStats::default();
-    }
-    let t0 = Instant::now();
-    for (w, worker) in workers.iter_mut().enumerate() {
-        worker.fresh = worker_share(cfg.txns, threads, w);
-    }
-    run_phase_sequential(&mut workers, &mut heap, &mut ic, &arbiter_cfg);
-    let host_elapsed = t0.elapsed();
-    assemble(workers, bases, cfg.txns, host_elapsed)
-}
-
-/// The sequential analogue of [`SharedWorker::run_phase_threaded`]:
-/// identical per-epoch arithmetic, one worker at a time, so a threaded
-/// run must match it bit-for-bit.
-fn run_phase_sequential<E: TxnEngine, W: Workload>(
-    workers: &mut [SharedWorker<E, W>],
-    heap: &mut VersionedHeap,
-    ic_slot: &mut Option<Interconnect>,
-    arbiter_cfg: &MachineConfig,
-) {
-    let ic_enabled = arbiter_cfg.interconnect.enabled;
-    let epoch_cycles = phase_epoch_cycles(arbiter_cfg, workers[0].epoch_fallback);
-    let n = workers.len();
-    let mut targets: Vec<u64> = workers
-        .iter()
-        .map(|wk| wk.engine.machine().cycles(SHARD_CORE) + epoch_cycles)
-        .collect();
-    let mut streams: Vec<Vec<MemEvent>> = vec![Vec::new(); n];
-    let mut llc_streams: Vec<Vec<LlcEvent>> = vec![Vec::new(); n];
-    loop {
-        let mut intents: Vec<Vec<CommitIntent>> = Vec::with_capacity(n);
-        for (w, worker) in workers.iter_mut().enumerate() {
-            worker.run_epoch(targets[w]);
-            if ic_enabled {
-                worker
-                    .engine
-                    .machine_mut()
-                    .take_mem_events_into(&mut streams[w]);
-                worker
-                    .engine
-                    .machine_mut()
-                    .take_llc_events_into(&mut llc_streams[w]);
-            } else {
-                worker.engine.machine_mut().discard_mem_events();
-            }
-            intents.push(std::mem::take(&mut worker.pending_intents));
-        }
-        let charges: Vec<EpochCharge> = if ic_enabled {
-            let ic = ic_slot.get_or_insert_with(|| Interconnect::new(arbiter_cfg, n));
-            ic.arbitrate_epoch(&streams, &llc_streams)
-        } else {
-            vec![EpochCharge::default(); n]
-        };
-        let verdicts = validate_epoch(heap, &intents);
-        // Deposit-time outstanding counts, exactly like the threaded
-        // leader sees them (resolve below pushes new retries).
-        let done = workers.iter().all(|wk| wk.outstanding() == 0)
-            && verdicts.iter().flatten().all(|v| *v == Verdict::Won);
-        for ((w, worker), intents_w) in workers.iter_mut().enumerate().zip(intents) {
-            if ic_enabled {
-                worker
-                    .engine
-                    .machine_mut()
-                    .apply_epoch_charge(SHARD_CORE, &charges[w]);
-            }
-            worker.heap = heap.clone();
-            worker.resolve(&verdicts[w], intents_w);
-            targets[w] += epoch_cycles;
-        }
-        if done {
-            break;
-        }
     }
 }
 
@@ -901,59 +713,6 @@ pub struct SharedCrashReport {
     pub aborted: u64,
 }
 
-impl<E: TxnEngine, W: Workload> SharedWorker<OracleEngine<E>, W> {
-    /// Inline `resolve` for the crash probe: replay winners with the
-    /// oracle fold and the storm dance after every publication replay,
-    /// queue losers for retry. Returns `true` if a power cut tripped
-    /// (the caller must restart the shard's epoch ladder from the
-    /// recovered clock).
-    fn probe_resolve(
-        &mut self,
-        verdicts: &[Verdict],
-        intents: Vec<CommitIntent>,
-        report: &mut SharedCrashReport,
-    ) -> bool {
-        let meta = std::mem::take(&mut self.pending_meta);
-        let mut tripped = false;
-        for ((verdict, intent), (rng_before, attempt)) in verdicts.iter().zip(intents).zip(meta) {
-            self.shared.validated += 1;
-            match verdict {
-                Verdict::Won => {
-                    self.shared.committed += 1;
-                    self.replay(&intent);
-                    if self.engine.machine().power_lost() {
-                        probe_storm(&mut self.engine, report);
-                        tripped = true;
-                    } else {
-                        self.engine.oracle_mut().on_commit(SHARD_CORE);
-                    }
-                }
-                Verdict::Conflict | Verdict::Cascade => {
-                    self.shared.aborted += 1;
-                    self.retries.push_back((rng_before, attempt + 1));
-                }
-            }
-        }
-        tripped
-    }
-
-    /// Final quiesce of one probe shard: power off, recover, and check
-    /// the durable state against the oracle; fold the shard's outcome
-    /// counters into the report.
-    fn probe_finish(&mut self, report: &mut SharedCrashReport) {
-        self.engine.machine_mut().disarm_crash();
-        self.engine.crash();
-        self.engine.oracle_mut().on_crash();
-        self.engine.recover();
-        let oracle = self.engine.oracle().clone();
-        if oracle.verify(&mut self.engine, SHARD_CORE).is_err() {
-            report.lost += 1;
-        }
-        report.committed += self.shared.committed;
-        report.aborted += self.shared.aborted;
-    }
-}
-
 impl SharedCrashReport {
     /// Folds another shard's probe report in (all counters are sums).
     fn merge(&mut self, o: &SharedCrashReport) {
@@ -974,12 +733,12 @@ impl SharedCrashReport {
 /// checked against the byte [`Oracle`](ssp_txn::Oracle): the cut
 /// transaction must be *either* wholly dropped or wholly kept, and no
 /// other committed transaction may be disturbed — the same zero-loss
-/// contract the crash-storm harness enforces.
+/// contract the crash-storm harness enforces. The warm-up and measured
+/// transactions run as one phase, and every shard's durable state is
+/// checked against its oracle at the end.
 ///
-/// Runs in both execution modes with bit-identical reports: the
-/// threaded mode puts each shard on a real thread with the usual
-/// shared-heap rendezvous; the sequential mode replays the identical
-/// epoch arithmetic round-robin. Requires the interconnect disabled.
+/// Runs in both execution modes with bit-identical reports. Requires the
+/// interconnect disabled.
 ///
 /// # Panics
 ///
@@ -998,204 +757,37 @@ where
     E: TxnEngine,
     W: Workload,
 {
-    assert!(cfg.threads >= 1, "at least one worker");
     assert!(victim < cfg.threads, "victim worker out of range");
-    if cfg.mode == ExecMode::Threaded {
-        return probe_threaded(mk_engine, mk_workload, cfg, shared_cfg, victim, site, hits);
-    }
-    let threads = cfg.threads;
-    let mut workers: Vec<SharedWorker<OracleEngine<E>, W>> = (0..threads)
-        .map(|w| {
-            let mut worker = SharedWorker::new(
-                OracleEngine::new(mk_engine(w)),
-                mk_workload(w),
-                cfg,
-                shared_cfg,
-                w,
-            );
-            worker.setup_capture();
-            worker.engine.set_recording(true);
-            worker
-        })
-        .collect();
+    let (mut workers, mut merge) = start(mk_engine, mk_workload, cfg, shared_cfg);
     assert!(
-        !workers[0].engine.machine().config().interconnect.enabled,
+        merge.ic.is_none(),
         "the crash probe requires the interconnect disabled"
     );
-    let mut heap = workers[0].heap.clone();
+    for worker in &mut workers {
+        worker.engine.set_recording(true);
+    }
     workers[victim]
         .engine
         .machine_mut()
         .arm_crash(CrashPoint::AtSite { site, hits });
-    let mut report = SharedCrashReport::default();
-    let epoch_cycles = shared_cfg.epoch_cycles.max(1);
-    let mut targets: Vec<u64> = workers
-        .iter()
-        .map(|wk| wk.engine.machine().cycles(SHARD_CORE) + epoch_cycles)
-        .collect();
-    for (w, worker) in workers.iter_mut().enumerate() {
-        worker.fresh = worker_share(cfg.warmup + cfg.txns, threads, w);
-    }
-    loop {
-        let mut intents: Vec<Vec<CommitIntent>> = Vec::with_capacity(threads);
-        for (w, worker) in workers.iter_mut().enumerate() {
-            worker.run_epoch(targets[w]);
-            worker.engine.machine_mut().discard_mem_events();
-            intents.push(std::mem::take(&mut worker.pending_intents));
-        }
-        let verdicts = validate_epoch(&mut heap, &intents);
-        let done = workers.iter().all(|wk| wk.outstanding() == 0)
-            && verdicts.iter().flatten().all(|v| *v == Verdict::Won);
-        for ((w, worker), intents_w) in workers.iter_mut().enumerate().zip(intents) {
-            worker.heap = heap.clone();
-            if worker.probe_resolve(&verdicts[w], intents_w, &mut report) {
-                // The crash reset the shard's clock; restart its epoch
-                // ladder from the recovered state.
-                targets[w] = worker.engine.machine().cycles(SHARD_CORE);
+    let (reports, _) = phase(
+        cfg.mode,
+        workers,
+        cfg.warmup + cfg.txns,
+        &mut merge,
+        |mut worker| {
+            let (_, _, verified) = worker.engine.quiesce();
+            SharedCrashReport {
+                lost: worker.cuts.lost + u64::from(!verified),
+                committed: worker.shared.committed,
+                aborted: worker.shared.aborted,
+                ..worker.cuts
             }
-            targets[w] += epoch_cycles;
-        }
-        if done {
-            break;
-        }
-    }
-    // Final quiesce: fingerprint-style oracle check of every shard's
-    // durable state.
-    for worker in workers.iter_mut() {
-        worker.probe_finish(&mut report);
+        },
+    );
+    let mut report = SharedCrashReport::default();
+    for r in &reports {
+        report.merge(r);
     }
     report
-}
-
-/// The threaded crash probe: each shard on a real thread, commit intents
-/// and verdicts riding the [`SharedSync`] rendezvous exactly like
-/// [`run_shared`]'s threaded phase, with the probe's inline resolve
-/// (publication replays polled for power loss, storm dance + oracle
-/// check on the victim). Per-shard decision sequences are identical to
-/// the sequential probe, so the merged report is bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn probe_threaded<E, W>(
-    mk_engine: impl Fn(usize) -> E + Sync,
-    mk_workload: impl Fn(usize) -> W + Sync,
-    cfg: &RunConfig,
-    shared_cfg: &SharedHeapConfig,
-    victim: usize,
-    site: FaultSite,
-    hits: u32,
-) -> SharedCrashReport
-where
-    E: TxnEngine,
-    W: Workload,
-{
-    let threads = cfg.threads;
-    let sync = SharedSync::new(threads);
-    let epoch_cycles = shared_cfg.epoch_cycles.max(1);
-    let reports: Vec<SharedCrashReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let (mk_engine, mk_workload) = (&mk_engine, &mk_workload);
-                let sync = &sync;
-                scope.spawn(move || {
-                    let _poison = PoisonOnPanic(vec![&sync.barrier]);
-                    let mut worker = SharedWorker::new(
-                        OracleEngine::new(mk_engine(w)),
-                        mk_workload(w),
-                        cfg,
-                        shared_cfg,
-                        w,
-                    );
-                    worker.setup_capture();
-                    worker.engine.set_recording(true);
-                    assert!(
-                        !worker.engine.machine().config().interconnect.enabled,
-                        "the crash probe requires the interconnect disabled"
-                    );
-                    if sync.barrier.wait() {
-                        let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                        st.heap = worker.heap.clone();
-                    }
-                    sync.barrier.wait();
-                    if w == victim {
-                        worker
-                            .engine
-                            .machine_mut()
-                            .arm_crash(CrashPoint::AtSite { site, hits });
-                    }
-                    worker.fresh = worker_share(cfg.warmup + cfg.txns, threads, w);
-                    let mut report = SharedCrashReport::default();
-                    let mut target = worker.engine.machine().cycles(SHARD_CORE) + epoch_cycles;
-                    loop {
-                        worker.run_epoch(target);
-                        worker.engine.machine_mut().discard_mem_events();
-                        {
-                            let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                            st.intents[w] = std::mem::take(&mut worker.pending_intents);
-                            st.outstanding[w] = worker.outstanding();
-                        }
-                        if sync.barrier.wait() {
-                            let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                            let st = &mut *st;
-                            st.verdicts = validate_epoch(&mut st.heap, &st.intents);
-                            st.done = st.outstanding.iter().all(|&r| r == 0)
-                                && st.verdicts.iter().flatten().all(|v| *v == Verdict::Won);
-                        }
-                        sync.barrier.wait();
-                        let (done, verdicts, intents, heap) = {
-                            let mut st = sync.state.lock().expect("shared epoch state poisoned");
-                            let st = &mut *st;
-                            (
-                                st.done,
-                                std::mem::take(&mut st.verdicts[w]),
-                                std::mem::take(&mut st.intents[w]),
-                                st.heap.clone(),
-                            )
-                        };
-                        worker.heap = heap;
-                        if worker.probe_resolve(&verdicts, intents, &mut report) {
-                            target = worker.engine.machine().cycles(SHARD_CORE);
-                        }
-                        if done {
-                            break;
-                        }
-                        target += epoch_cycles;
-                    }
-                    worker.probe_finish(&mut report);
-                    report
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("crash-probe worker thread panicked"))
-            .collect()
-    });
-    let mut total = SharedCrashReport::default();
-    for r in &reports {
-        total.merge(r);
-    }
-    total
-}
-
-/// The dual-candidate resolution after a power cut inside a publication
-/// replay, mirroring the crash-storm driver: the cut transaction is
-/// legal dropped or kept; anything else is data loss.
-fn probe_storm<E: TxnEngine>(engine: &mut OracleEngine<E>, report: &mut SharedCrashReport) {
-    report.storms += 1;
-    let mut dropped = engine.oracle().clone();
-    dropped.on_crash();
-    let mut kept = engine.oracle().clone();
-    kept.on_commit(SHARD_CORE);
-    kept.on_crash();
-    engine.crash();
-    engine.recover();
-    if dropped.verify(engine, SHARD_CORE).is_ok() {
-        report.torn_dropped += 1;
-        engine.set_oracle(dropped);
-    } else if kept.verify(engine, SHARD_CORE).is_ok() {
-        report.torn_kept += 1;
-        engine.set_oracle(kept);
-    } else {
-        report.lost += 1;
-        engine.set_oracle(dropped);
-    }
 }

@@ -7,10 +7,9 @@
 //! runs the real workloads over sharded engines exactly like
 //! [`runner::run_parallel`](crate::runner::run_parallel), and after every
 //! cut replays recovery and checks the shard against a byte-level
-//! [`Oracle`]. Per-shard operation sequences are identical in
-//! [`ExecMode::Threaded`] and [`ExecMode::Sequential`], so all simulated
-//! counters, data-loss verdicts and NVRAM fingerprints are bit-identical
-//! across modes and across repeated runs for a fixed seed + schedule.
+//! [`Oracle`]. All simulated counters, data-loss verdicts and NVRAM
+//! fingerprints are bit-identical across execution modes and repeated
+//! runs for a fixed seed + schedule.
 //!
 //! # Torn-transaction resolution
 //!
@@ -23,7 +22,8 @@
 //! *torn-kept*, and accepts whichever matches the recovered state. A
 //! transaction matching neither, or any earlier committed transaction
 //! missing, counts as **data loss** ([`StormShardReport::lost_txns`],
-//! which must be zero for every engine).
+//! which must be zero for every engine). The shared-heap crash probe and
+//! service mode resolve their cuts the same way, through the same code.
 //!
 //! # Crash during recovery
 //!
@@ -35,14 +35,14 @@
 //!
 //! # Interconnect epoch storms
 //!
-//! When the shards enable the cross-shard interconnect, cuts are
+//! When worker 0's shard enables the cross-shard interconnect, cuts are
 //! restricted to [`FaultSite::EpochBoundary`]: every shard arms the same
 //! schedule, the epoch charge lands exactly once per epoch per shard, so
 //! the power fails on *all* shards at the same epoch boundary (a
-//! machine-wide cut). All shards recover, and the driver rebuilds the
-//! interconnect — post-crash local clocks restart at zero, so the merged
-//! event streams stay monotonic. Mid-epoch cuts are not combined with the
-//! interconnect model.
+//! machine-wide cut). All shards recover, and the interconnect merge
+//! drops its controller — post-crash local clocks restart at zero, so the
+//! merged event streams stay monotonic. Mid-epoch cuts are not combined
+//! with the interconnect model.
 //!
 //! [`Machine::power_lost`]: ssp_simulator::machine::Machine::power_lost
 
@@ -51,15 +51,13 @@ use rand::SeedableRng;
 use ssp_simulator::addr::{VirtAddr, Vpn};
 use ssp_simulator::cache::CoreId;
 use ssp_simulator::fault::{CrashPoint, FaultSite};
-use ssp_simulator::interconnect::Interconnect;
 use ssp_simulator::machine::Machine;
 use ssp_simulator::obs::ObsEvent;
 use ssp_txn::engine::{TxnEngine, TxnStats};
 use ssp_txn::history::Oracle;
 
-use crate::runner::{
-    worker_seed, worker_share, EpochSync, ExecMode, PoisonOnPanic, RunConfig, Workload, SHARD_CORE,
-};
+use crate::drive::{drive, fan_out, IcMerge, Merge, NoMerge, Shard};
+use crate::runner::{worker_seed, worker_share, RunConfig, Workload, SHARD_CORE};
 
 /// One scheduled cut, relative to the moment it is armed.
 ///
@@ -115,6 +113,23 @@ impl StormSchedule {
             crash_during_recovery: false,
             rearm: false,
         }
+    }
+
+    /// Arms point `next` (wrapping with [`rearm`](Self::rearm)) on
+    /// `machine`, translating a cycle delta against the shard's clock; a
+    /// no-op once a one-shot schedule is spent.
+    pub(crate) fn arm_next(&self, next: usize, machine: &mut Machine) {
+        let n = self.points.len();
+        let idx = if self.rearm && n > 0 { next % n } else { next };
+        let Some(&point) = self.points.get(idx) else {
+            return;
+        };
+        machine.arm_crash(match point {
+            StormPoint::AfterCycles(delta) => {
+                CrashPoint::AtCycle(machine.cycles(SHARD_CORE) + delta)
+            }
+            StormPoint::AtSite { site, hits } => CrashPoint::AtSite { site, hits },
+        });
     }
 }
 
@@ -178,6 +193,13 @@ impl StormShardReport {
         self.elapsed_cycles = self.elapsed_cycles.max(o.elapsed_cycles);
         self.flight_tail.extend_from_slice(&o.flight_tail);
     }
+
+    /// Counts one recovery pass's NVRAM traffic and latency estimate.
+    fn add_pass(&mut self, pass: RecoveryPass) {
+        self.recovery_nvram_reads += pass.nvram_reads;
+        self.recovery_nvram_writes += pass.nvram_writes;
+        self.recovery_cycles_est += pass.est_cycles;
+    }
 }
 
 /// Result of a storm run: per-shard reports in worker order.
@@ -209,6 +231,36 @@ impl StormRun {
         }
         h
     }
+}
+
+/// Which oracle candidate the recovered state matched after a cut.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CutVerdict {
+    /// The in-flight transaction was rolled back.
+    Dropped,
+    /// The in-flight transaction's commit mark beat the freeze.
+    Kept,
+    /// Neither: committed data is missing or corrupted.
+    Lost,
+}
+
+/// One `recover()` pass: its NVRAM traffic, the latency that traffic
+/// implies at the configured device latencies, and the core clock after
+/// it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecoveryPass {
+    pub(crate) nvram_reads: u64,
+    pub(crate) nvram_writes: u64,
+    pub(crate) est_cycles: u64,
+    pub(crate) clock: u64,
+}
+
+/// A power cut, resolved.
+#[derive(Debug, Clone)]
+pub(crate) struct Cut {
+    pub(crate) verdict: CutVerdict,
+    /// The recovery passes: one, or two if the first was itself cut.
+    pub(crate) passes: Vec<RecoveryPass>,
 }
 
 /// A [`TxnEngine`] wrapper that mirrors every store into an [`Oracle`]
@@ -262,6 +314,83 @@ impl<E: TxnEngine> OracleEngine<E> {
     /// Unwraps.
     pub fn into_inner(self) -> E {
         self.inner
+    }
+
+    /// Resolves a power cut that froze memory with a transaction in
+    /// flight: crash, recover — with `cut_recovery`, the first recovery
+    /// is itself cut at [`FaultSite::Recovery`] and a second, clean pass
+    /// must succeed from the same NVRAM image — then install whichever of
+    /// the two candidates, transaction dropped or kept, the recovered
+    /// state matches. With `charge`, each pass's latency estimate is
+    /// added to the core clock (`recover()` itself does not advance it).
+    pub(crate) fn resolve_cut(&mut self, cut_recovery: bool, charge: bool) -> Cut {
+        let mut dropped = self.oracle.clone();
+        dropped.on_crash();
+        let mut kept = self.oracle.clone();
+        kept.on_commit(SHARD_CORE);
+        kept.on_crash();
+        self.crash();
+        if cut_recovery {
+            self.machine_mut().arm_crash(CrashPoint::AtSite {
+                site: FaultSite::Recovery,
+                hits: 1,
+            });
+        }
+        let mut passes = vec![self.recover_pass(charge)];
+        if self.machine().power_lost() {
+            self.crash();
+            passes.push(self.recover_pass(charge));
+        }
+        // Both candidates passing means the cut transaction's effect is
+        // indistinguishable (e.g. it rewrote identical bytes): dropped.
+        // Neither passing is data loss; the run continues from the
+        // conservative candidate.
+        let verdict = if dropped.verify(self, SHARD_CORE).is_ok() {
+            CutVerdict::Dropped
+        } else if kept.verify(self, SHARD_CORE).is_ok() {
+            CutVerdict::Kept
+        } else {
+            CutVerdict::Lost
+        };
+        self.oracle = if verdict == CutVerdict::Kept {
+            kept
+        } else {
+            dropped
+        };
+        Cut { verdict, passes }
+    }
+
+    /// The final quiesce: disarm, power off, fingerprint the durable
+    /// image, recover, and verify the oracle one last time. Returns the
+    /// fingerprint, the recovery pass, and whether verification passed.
+    pub(crate) fn quiesce(&mut self) -> (u64, RecoveryPass, bool) {
+        self.machine_mut().disarm_crash();
+        self.crash();
+        self.oracle.on_crash();
+        let fingerprint = self.machine().nvram_fingerprint();
+        let pass = self.recover_pass(false);
+        let oracle = std::mem::take(&mut self.oracle);
+        let ok = oracle.verify(self, SHARD_CORE).is_ok();
+        self.oracle = oracle;
+        (fingerprint, pass, ok)
+    }
+
+    fn recover_pass(&mut self, charge: bool) -> RecoveryPass {
+        let before = self.machine().stats().clone();
+        self.recover();
+        let d = self.machine().stats().diff(&before);
+        let cfg = self.machine().config();
+        let est_cycles = d.nvram_reads * cfg.ns_to_cycles(cfg.nvram.read_ns)
+            + d.nvram_writes_total() * cfg.ns_to_cycles(cfg.nvram.write_ns);
+        if charge {
+            self.machine_mut().add_cycles(SHARD_CORE, est_cycles);
+        }
+        RecoveryPass {
+            nvram_reads: d.nvram_reads,
+            nvram_writes: d.nvram_writes_total(),
+            est_cycles,
+            clock: self.machine().cycles(SHARD_CORE),
+        }
     }
 }
 
@@ -320,6 +449,8 @@ struct StormWorker<E, W> {
     schedule: StormSchedule,
     /// Index of the next schedule point to arm.
     next_point: usize,
+    /// Transactions not yet run.
+    left: u64,
     /// Cycle count at the start of the current power segment (the clock
     /// resets at each crash; elapsed accumulates segments).
     seg_base: u64,
@@ -327,57 +458,31 @@ struct StormWorker<E, W> {
 }
 
 impl<E: TxnEngine, W: Workload> StormWorker<E, W> {
+    /// Workload setup (not oracle-checked, no cuts armed), then arm the
+    /// first point.
     fn new(engine: E, workload: W, cfg: &RunConfig, schedule: &StormSchedule, w: usize) -> Self {
-        Self {
+        let mut worker = Self {
             engine: OracleEngine::new(engine),
             workload,
             rng: SmallRng::seed_from_u64(worker_seed(cfg.seed, w)),
             schedule: schedule.clone(),
             next_point: 0,
+            left: worker_share(cfg.txns, cfg.threads, w),
             seg_base: 0,
             report: StormShardReport {
                 worker: w,
                 ..StormShardReport::default()
             },
-        }
-    }
-
-    /// Workload setup (not oracle-checked, no cuts armed), then arm the
-    /// first point.
-    fn prepare(&mut self) {
-        self.workload.setup(&mut self.engine, SHARD_CORE);
-        self.engine.set_recording(true);
-        self.seg_base = self.engine.machine().cycles(SHARD_CORE);
-        self.arm_next();
-    }
-
-    /// Arms the next schedule point, translating cycle deltas against the
-    /// current clock. Consumed points re-arm only with
-    /// [`StormSchedule::rearm`].
-    fn arm_next(&mut self) {
-        let n = self.schedule.points.len();
-        if n == 0 {
-            return;
-        }
-        let idx = if self.schedule.rearm {
-            self.next_point % n
-        } else if self.next_point < n {
-            self.next_point
-        } else {
-            return;
         };
-        let point = match self.schedule.points[idx] {
-            StormPoint::AfterCycles(delta) => {
-                CrashPoint::AtCycle(self.engine.machine().cycles(SHARD_CORE) + delta)
-            }
-            StormPoint::AtSite { site, hits } => CrashPoint::AtSite { site, hits },
-        };
-        self.engine.machine_mut().arm_crash(point);
+        worker.workload.setup(&mut worker.engine, SHARD_CORE);
+        worker.engine.set_recording(true);
+        worker.seg_base = worker.engine.machine().cycles(SHARD_CORE);
+        worker.schedule.arm_next(0, worker.engine.machine_mut());
+        worker
     }
 
     /// Runs one transaction and, if the power failed inside it, the full
-    /// storm sequence (crash, recovery — possibly itself cut —, oracle
-    /// verification, re-arm).
+    /// storm sequence.
     fn storm_txn(&mut self) {
         self.engine.begin(SHARD_CORE);
         self.workload
@@ -391,22 +496,13 @@ impl<E: TxnEngine, W: Workload> StormWorker<E, W> {
         }
     }
 
-    /// Crash + recover + verify after a power cut. `torn_txn` says a
-    /// transaction was in flight when the cut landed (false for
-    /// epoch-boundary cuts, which land between transactions).
+    /// Crash + recover + verify after a power cut, then arm the next
+    /// point. `torn_txn` says a transaction was in flight when the cut
+    /// landed (false for epoch-boundary cuts, which land between
+    /// transactions).
     fn storm_recover(&mut self, torn_txn: bool) {
-        self.report.storms += 1;
-        // Two candidates for the post-recovery state: the cut transaction
-        // rolled back, or kept (its commit mark beat the freeze). The
-        // engines guarantee one of them — anything else is data loss.
-        let mut dropped = self.engine.oracle().clone();
-        dropped.on_crash();
-        let mut kept = self.engine.oracle().clone();
-        kept.on_commit(SHARD_CORE);
-        kept.on_crash();
-
-        self.report.elapsed_cycles += self.engine.machine().cycles(SHARD_CORE)
-            - self.seg_base.min(self.engine.machine().cycles(SHARD_CORE));
+        let now = self.engine.machine().cycles(SHARD_CORE);
+        self.report.elapsed_cycles += now - self.seg_base.min(now);
         // Flight recorder: drain the tail of the event ring at the cut
         // instant. Replace-latest semantics — the report carries the tail
         // of the *most recent* storm on this shard.
@@ -414,93 +510,76 @@ impl<E: TxnEngine, W: Workload> StormWorker<E, W> {
             let n = self.engine.machine().config().obs.flight_tail;
             self.report.flight_tail = self.engine.machine().obs().tail(n);
         }
-        self.engine.crash();
-        if self.schedule.crash_during_recovery {
-            self.engine.machine_mut().arm_crash(CrashPoint::AtSite {
-                site: FaultSite::Recovery,
-                hits: 1,
-            });
+        let cut = self
+            .engine
+            .resolve_cut(self.schedule.crash_during_recovery, false);
+        self.report.storms += 1;
+        self.report.torn_recoveries += cut.passes.len() as u64 - 1;
+        cut.passes.iter().for_each(|&p| self.report.add_pass(p));
+        match cut.verdict {
+            CutVerdict::Dropped => self.report.torn_txns += u64::from(torn_txn),
+            CutVerdict::Kept => self.report.kept_torn_txns += u64::from(torn_txn),
+            CutVerdict::Lost => self.report.lost_txns += 1,
         }
-        self.run_recovery();
-        if self.engine.machine().power_lost() {
-            // The recovery itself was cut short; its writes were dropped.
-            // A second, clean pass must succeed from the same NVRAM image.
-            self.report.torn_recoveries += 1;
-            self.engine.crash();
-            self.run_recovery();
-        }
-
-        let drop_ok = dropped.verify(&mut self.engine, SHARD_CORE).is_ok();
-        let accepted = if drop_ok {
-            // Both candidates passing means the cut transaction's effect
-            // is indistinguishable (e.g. it rewrote identical bytes);
-            // treat as dropped.
-            if torn_txn {
-                self.report.torn_txns += 1;
-            }
-            dropped
-        } else if kept.verify(&mut self.engine, SHARD_CORE).is_ok() {
-            if torn_txn {
-                self.report.kept_torn_txns += 1;
-            }
-            kept
-        } else {
-            // Neither candidate matches: a committed transaction is gone
-            // or corrupted. Record the loss and continue from the
-            // conservative candidate so the run still completes.
-            self.report.lost_txns += 1;
-            dropped
-        };
-        self.engine.set_oracle(accepted);
         self.seg_base = self.engine.machine().cycles(SHARD_CORE);
         self.next_point += 1;
-        self.arm_next();
+        self.schedule
+            .arm_next(self.next_point, self.engine.machine_mut());
     }
 
-    /// Runs `recover()` with the stats window needed for the recovery
-    /// metrics (NVRAM traffic and the latency estimate).
-    fn run_recovery(&mut self) {
-        let before = self.engine.machine().stats().clone();
-        self.engine.recover();
-        let d = self.engine.machine().stats().diff(&before);
-        let cfg = self.engine.machine().config();
-        let est = d.nvram_reads * cfg.ns_to_cycles(cfg.nvram.read_ns)
-            + d.nvram_writes_total() * cfg.ns_to_cycles(cfg.nvram.write_ns);
-        self.report.recovery_nvram_reads += d.nvram_reads;
-        self.report.recovery_nvram_writes += d.nvram_writes_total();
-        self.report.recovery_cycles_est += est;
-    }
-
-    /// Final quiesce: disarm, power off, fingerprint the durable image,
-    /// recover, and verify one last time.
     fn finish(mut self) -> StormShardReport {
-        self.engine.machine_mut().disarm_crash();
         let now = self.engine.machine().cycles(SHARD_CORE);
         self.report.elapsed_cycles += now - self.seg_base.min(now);
-        self.engine.crash();
-        self.engine.oracle_mut().on_crash();
-        self.report.fingerprint = self.engine.machine().nvram_fingerprint();
-        self.run_recovery();
-        let oracle = self.engine.oracle().clone();
-        if oracle.verify(&mut self.engine, SHARD_CORE).is_err() {
-            self.report.lost_txns += 1;
-        }
+        let (fingerprint, pass, ok) = self.engine.quiesce();
+        self.report.fingerprint = fingerprint;
+        self.report.add_pass(pass);
+        self.report.lost_txns += u64::from(!ok);
         self.report
     }
 }
 
-/// Runs a crash storm over `cfg.threads` independent engine shards under
-/// the given workload and schedule. Shards interact with nothing (the
-/// interconnect must be disabled — see [`run_epoch_storm`] for the
-/// epoch-boundary variant), so [`ExecMode::Threaded`] runs them on real
-/// threads and [`ExecMode::Sequential`] interleaves the identical
-/// per-shard schedules round-robin on the calling thread, with
-/// bit-identical results.
+impl<E: TxnEngine, W: Workload> Shard<()> for StormWorker<E, W> {
+    fn machine(&mut self) -> &mut Machine {
+        self.engine.machine_mut()
+    }
+
+    fn step(&mut self, until: u64) -> bool {
+        while self.left > 0 && self.engine.machine().cycles(SHARD_CORE) < until {
+            self.storm_txn();
+            self.left -= 1;
+        }
+        self.left > 0
+    }
+
+    /// Epoch storms cut where the epoch charge lands. Identical schedules
+    /// and one charge per epoch per shard: either every shard tripped at
+    /// this boundary or none did.
+    fn absorb(&mut self, _: &mut ()) -> bool {
+        let cut = self.engine.machine().power_lost();
+        if cut {
+            self.storm_recover(false);
+            self.engine.machine_mut().discard_mem_events();
+        }
+        cut
+    }
+}
+
+/// Runs a crash storm over `cfg.threads` engine shards under the given
+/// workload and schedule.
+///
+/// With the interconnect disabled (worker 0's config decides, as in
+/// [`run_parallel`](crate::runner::run_parallel)) the shards are
+/// independent and cut wherever the schedule says. With it enabled the
+/// shards run in interconnect epochs and the schedule must consist of
+/// [`FaultSite::EpochBoundary`] site points: every shard arms the same
+/// schedule, so the power fails machine-wide at one boundary, all shards
+/// crash, recover and verify, and the controller restarts empty.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.threads` is zero, a worker thread panics, or the
-/// machine config enables the interconnect.
+/// interconnect is enabled and the schedule contains
+/// non-[`FaultSite::EpochBoundary`] points.
 pub fn run_storm<E, W>(
     mk_engine: impl Fn(usize) -> E + Sync,
     mk_workload: impl Fn(usize) -> W + Sync,
@@ -511,264 +590,34 @@ where
     E: TxnEngine,
     W: Workload,
 {
-    assert!(cfg.threads >= 1, "at least one worker");
-    let build = |w: usize| {
-        let worker = StormWorker::new(mk_engine(w), mk_workload(w), cfg, schedule, w);
+    let workers = fan_out(cfg.mode, cfg.threads, |w| {
+        StormWorker::new(mk_engine(w), mk_workload(w), cfg, schedule, w)
+    });
+    let arbiter = workers[0].engine.machine().config().clone();
+    let mut merge: Box<dyn Merge<()>> = if arbiter.interconnect.enabled {
         assert!(
-            !worker.engine.machine().config().interconnect.enabled,
-            "run_storm requires the interconnect disabled; use run_epoch_storm"
+            schedule.points.iter().all(|p| matches!(
+                p,
+                StormPoint::AtSite {
+                    site: FaultSite::EpochBoundary,
+                    ..
+                }
+            )),
+            "epoch storms cut at epoch boundaries only"
         );
-        worker
+        Box::new(IcMerge::new(&arbiter))
+    } else {
+        Box::new(NoMerge)
     };
-    let shards = match cfg.mode {
-        ExecMode::Threaded => std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..cfg.threads)
-                .map(|w| {
-                    let build = &build;
-                    scope.spawn(move || {
-                        let mut worker = build(w);
-                        worker.prepare();
-                        for _ in 0..worker_share(cfg.txns, cfg.threads, w) {
-                            worker.storm_txn();
-                        }
-                        worker.finish()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("storm worker panicked"))
-                .collect()
-        }),
-        ExecMode::Sequential => {
-            // The reference schedule: round-robin at transaction
-            // granularity, like the runner's sequential mode. Shards are
-            // independent, so this replays the identical per-shard
-            // operation sequences the threaded mode runs.
-            let mut workers: Vec<StormWorker<E, W>> = (0..cfg.threads).map(build).collect();
-            for worker in &mut workers {
-                worker.prepare();
-            }
-            let mut remaining: Vec<u64> = (0..cfg.threads)
-                .map(|w| worker_share(cfg.txns, cfg.threads, w))
-                .collect();
-            while remaining.iter().any(|&r| r > 0) {
-                for (w, worker) in workers.iter_mut().enumerate() {
-                    if remaining[w] > 0 {
-                        worker.storm_txn();
-                        remaining[w] -= 1;
-                    }
-                }
-            }
-            workers.into_iter().map(StormWorker::finish).collect()
-        }
-    };
+    let (shards, _) = drive(cfg.mode, workers, &mut *merge, StormWorker::finish);
     StormRun { shards }
-}
-
-/// Runs a crash storm under the cross-shard interconnect, with cuts at
-/// epoch boundaries only: every shard arms the same schedule (which must
-/// consist of [`FaultSite::EpochBoundary`] site points), the epoch charge
-/// lands once per epoch per shard, so the power fails on every shard at
-/// the same boundary. All shards crash, recover and verify; the
-/// interconnect is rebuilt for the next power segment. Threaded and
-/// sequential modes are bit-identical, like
-/// [`run_parallel`](crate::runner::run_parallel).
-///
-/// # Panics
-///
-/// Panics if `cfg.threads` is zero, a worker thread panics, the machine
-/// config does **not** enable the interconnect, or the schedule contains
-/// non-[`FaultSite::EpochBoundary`] points.
-pub fn run_epoch_storm<E, W>(
-    mk_engine: impl Fn(usize) -> E + Sync,
-    mk_workload: impl Fn(usize) -> W + Sync,
-    cfg: &RunConfig,
-    schedule: &StormSchedule,
-) -> StormRun
-where
-    E: TxnEngine,
-    W: Workload,
-{
-    assert!(cfg.threads >= 1, "at least one worker");
-    assert!(
-        schedule.points.iter().all(|p| matches!(
-            p,
-            StormPoint::AtSite {
-                site: FaultSite::EpochBoundary,
-                ..
-            }
-        )),
-        "epoch storms cut at epoch boundaries only"
-    );
-    let build = |w: usize| {
-        let worker = StormWorker::new(mk_engine(w), mk_workload(w), cfg, schedule, w);
-        assert!(
-            worker.engine.machine().config().interconnect.enabled,
-            "run_epoch_storm requires the interconnect enabled"
-        );
-        worker
-    };
-    let epoch_cycles = {
-        let probe = mk_engine(0);
-        probe.machine().config().interconnect.epoch_cycles.max(1)
-    };
-    let shards = match cfg.mode {
-        ExecMode::Threaded => {
-            let sync = EpochSync::new(cfg.threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..cfg.threads)
-                    .map(|w| {
-                        let (build, sync) = (&build, &sync);
-                        scope.spawn(move || {
-                            let _poison = PoisonOnPanic(vec![&sync.barrier]);
-                            let mut worker = build(w);
-                            worker.prepare();
-                            let mut remaining = worker_share(cfg.txns, cfg.threads, w);
-                            let mut target =
-                                worker.engine.machine().cycles(SHARD_CORE) + epoch_cycles;
-                            loop {
-                                remaining = worker.run_epoch(remaining, target);
-                                {
-                                    let mut st = sync.state.lock().expect("epoch state poisoned");
-                                    worker
-                                        .engine
-                                        .machine_mut()
-                                        .take_mem_events_into(&mut st.streams[w]);
-                                    st.remaining[w] = remaining;
-                                }
-                                if sync.barrier.wait() {
-                                    let mut st = sync.state.lock().expect("epoch state poisoned");
-                                    let st = &mut *st;
-                                    let shards = st.streams.len();
-                                    let ic = st.interconnect.get_or_insert_with(|| {
-                                        Interconnect::new(worker.engine.machine().config(), shards)
-                                    });
-                                    st.charges = ic.arbitrate(&st.streams);
-                                    st.done = st.remaining.iter().all(|&r| r == 0);
-                                }
-                                sync.barrier.wait();
-                                let (charge, done) = {
-                                    let st = sync.state.lock().expect("epoch state poisoned");
-                                    (st.charges[w], st.done)
-                                };
-                                worker
-                                    .engine
-                                    .machine_mut()
-                                    .apply_epoch_charge(SHARD_CORE, &charge);
-                                // Identical schedules + one charge per epoch
-                                // per shard: either every shard tripped at
-                                // this boundary or none did.
-                                let tripped = worker.engine.machine().power_lost();
-                                if tripped {
-                                    worker.storm_recover(false);
-                                    worker.engine.machine_mut().discard_mem_events();
-                                }
-                                if sync.barrier.wait() && tripped {
-                                    // Power cycled machine-wide: the shared
-                                    // controller's queues are gone too.
-                                    let mut st = sync.state.lock().expect("epoch state poisoned");
-                                    st.interconnect = None;
-                                }
-                                sync.barrier.wait();
-                                if done {
-                                    break;
-                                }
-                                target = if tripped {
-                                    worker.engine.machine().cycles(SHARD_CORE) + epoch_cycles
-                                } else {
-                                    target + epoch_cycles
-                                };
-                            }
-                            worker.finish()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("storm worker panicked"))
-                    .collect()
-            })
-        }
-        ExecMode::Sequential => {
-            let mut workers: Vec<StormWorker<E, W>> = (0..cfg.threads).map(build).collect();
-            for worker in &mut workers {
-                worker.prepare();
-            }
-            let mut remaining: Vec<u64> = (0..cfg.threads)
-                .map(|w| worker_share(cfg.txns, cfg.threads, w))
-                .collect();
-            let mut targets: Vec<u64> = workers
-                .iter()
-                .map(|wk| wk.engine.machine().cycles(SHARD_CORE) + epoch_cycles)
-                .collect();
-            let mut ic: Option<Interconnect> = None;
-            let mut streams = vec![Vec::new(); cfg.threads];
-            loop {
-                for (w, worker) in workers.iter_mut().enumerate() {
-                    remaining[w] = worker.run_epoch(remaining[w], targets[w]);
-                    worker
-                        .engine
-                        .machine_mut()
-                        .take_mem_events_into(&mut streams[w]);
-                }
-                let charges = {
-                    let ic = ic.get_or_insert_with(|| {
-                        Interconnect::new(workers[0].engine.machine().config(), cfg.threads)
-                    });
-                    ic.arbitrate(&streams)
-                };
-                let done = remaining.iter().all(|&r| r == 0);
-                let mut tripped = false;
-                for (w, worker) in workers.iter_mut().enumerate() {
-                    worker
-                        .engine
-                        .machine_mut()
-                        .apply_epoch_charge(SHARD_CORE, &charges[w]);
-                    if worker.engine.machine().power_lost() {
-                        worker.storm_recover(false);
-                        worker.engine.machine_mut().discard_mem_events();
-                        tripped = true;
-                    }
-                }
-                if tripped {
-                    ic = None;
-                }
-                if done {
-                    break;
-                }
-                for (w, worker) in workers.iter().enumerate() {
-                    targets[w] = if tripped {
-                        worker.engine.machine().cycles(SHARD_CORE) + epoch_cycles
-                    } else {
-                        targets[w] + epoch_cycles
-                    };
-                }
-            }
-            workers.into_iter().map(StormWorker::finish).collect()
-        }
-    };
-    StormRun { shards }
-}
-
-impl<E: TxnEngine, W: Workload> StormWorker<E, W> {
-    /// Runs transactions until the local clock reaches `target` or the
-    /// share is exhausted (the epoch protocol's inner loop). Epoch cuts
-    /// land only at boundaries, so no transaction here can be torn.
-    fn run_epoch(&mut self, remaining: u64, target: u64) -> u64 {
-        let mut remaining = remaining;
-        while remaining > 0 && self.engine.machine().cycles(SHARD_CORE) < target {
-            self.storm_txn();
-            remaining -= 1;
-        }
-        remaining
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dist::KeyDist;
+    use crate::runner::ExecMode;
     use crate::sps::Sps;
     use ssp_core::engine::Ssp;
     use ssp_core::SspConfig;

@@ -2,38 +2,57 @@
 //! workload traffic, oracle-verified recovery, and the determinism
 //! contract — bit-identical reports across threaded, sequential and
 //! repeated runs for a fixed seed + crash schedule.
+//!
+//! The threaded == sequential cases honor `SSP_TEST_THREADS` (the CI
+//! matrix sets 1/2/4/8) and default to 2 workers.
 
 use ssp::baselines::{RedoLog, ShadowPaging, UndoLog};
 use ssp::core::engine::Ssp;
 use ssp::simulator::config::{InterconnectConfig, MachineConfig};
 use ssp::simulator::fault::FaultSite;
 use ssp::workloads::runner::{ExecMode, RunConfig};
-use ssp::workloads::storm::{run_epoch_storm, run_storm, StormPoint, StormRun, StormSchedule};
+use ssp::workloads::storm::{run_storm, StormPoint, StormRun, StormSchedule};
 use ssp::workloads::{KeyDist, Sps};
 use ssp::SspConfig;
 
 const THREADS: usize = 2;
 
+/// Worker count of the threaded == sequential cases.
+fn threads() -> usize {
+    std::env::var("SSP_TEST_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(THREADS)
+}
+
 fn cfg(mode: ExecMode) -> RunConfig {
+    cfg_n(mode, THREADS)
+}
+
+fn cfg_n(mode: ExecMode, threads: usize) -> RunConfig {
     RunConfig {
         txns: 160,
         warmup: 0,
-        threads: THREADS,
+        threads,
         seed: 0x5702_2019,
         mode,
     }
 }
 
 fn storm_ssp(mode: ExecMode, schedule: &StormSchedule) -> StormRun {
+    storm_ssp_n(mode, schedule, THREADS)
+}
+
+fn storm_ssp_n(mode: ExecMode, schedule: &StormSchedule, threads: usize) -> StormRun {
     run_storm(
         |_| {
             Ssp::new(
-                MachineConfig::default().shard_slice(THREADS),
+                MachineConfig::default().shard_slice(threads),
                 SspConfig::default(),
             )
         },
         |_| Sps::new(256, KeyDist::uniform(256)),
-        &cfg(mode),
+        &cfg_n(mode, threads),
         schedule,
     )
 }
@@ -73,14 +92,15 @@ fn storm_reports_identical_across_modes_and_repeats() {
         crash_during_recovery: true,
         rearm: true,
     };
-    let reference = storm_ssp(ExecMode::Threaded, &schedule);
+    let n = threads();
+    let reference = storm_ssp_n(ExecMode::Threaded, &schedule, n);
     assert!(reference.totals().storms > 0);
     for _ in 0..5 {
-        let repeat = storm_ssp(ExecMode::Threaded, &schedule);
+        let repeat = storm_ssp_n(ExecMode::Threaded, &schedule, n);
         assert_eq!(reference.shards, repeat.shards, "threaded repeat drifted");
     }
     for _ in 0..5 {
-        let seq = storm_ssp(ExecMode::Sequential, &schedule);
+        let seq = storm_ssp_n(ExecMode::Sequential, &schedule, n);
         assert_eq!(reference.shards, seq.shards, "sequential run drifted");
     }
 }
@@ -165,18 +185,24 @@ fn epoch_boundary_storm_is_machine_wide_and_deterministic() {
         crash_during_recovery: false,
         rearm: true,
     };
+    let threads = threads();
     let mk_engine = |_| {
-        let mut mcfg = MachineConfig::default().shard_slice(THREADS);
+        let mut mcfg = MachineConfig::default().shard_slice(threads);
         mcfg.interconnect = InterconnectConfig::shared();
         mcfg.interconnect.epoch_cycles = 10_000;
         Ssp::new(mcfg, SspConfig::default())
     };
     let mk_workload = |_| Sps::new(256, KeyDist::uniform(256));
-    let threaded = run_epoch_storm(mk_engine, mk_workload, &cfg(ExecMode::Threaded), &schedule);
+    let threaded = run_storm(
+        mk_engine,
+        mk_workload,
+        &cfg_n(ExecMode::Threaded, threads),
+        &schedule,
+    );
     let t = threaded.totals();
     assert!(t.storms > 0, "no epoch cut tripped: {t:?}");
     assert_eq!(
-        t.storms % THREADS as u64,
+        t.storms % threads as u64,
         0,
         "a cut must take down every shard together: {t:?}"
     );
@@ -187,14 +213,64 @@ fn epoch_boundary_storm_is_machine_wide_and_deterministic() {
     );
     assert_eq!(t.lost_txns, 0, "{t:?}");
 
-    let sequential = run_epoch_storm(
+    let sequential = run_storm(
         mk_engine,
         mk_workload,
-        &cfg(ExecMode::Sequential),
+        &cfg_n(ExecMode::Sequential, threads),
         &schedule,
     );
     assert_eq!(
         threaded.shards, sequential.shards,
+        "epoch storm modes diverged"
+    );
+}
+
+/// Epoch storms under the shared-LLC and coherence actors: the epoch
+/// merge drains every shard's L3-probe stream and charges shared-LLC
+/// capacity misses and cross-shard invalidations, so with a shared LLC
+/// far too small for the shards the storm runs slower than under fair
+/// banks alone — identically in both execution modes, with zero loss.
+#[test]
+fn epoch_storm_charges_shared_llc_and_coherence_delay() {
+    let schedule = StormSchedule {
+        points: vec![StormPoint::AtSite {
+            site: FaultSite::EpochBoundary,
+            hits: 2,
+        }],
+        crash_during_recovery: false,
+        rearm: true,
+    };
+    // The cross-shard actors need at least two shards to contend.
+    let threads = threads().max(2);
+    let storm = |interconnect: InterconnectConfig, mode: ExecMode| {
+        run_storm(
+            move |_| {
+                let mut mcfg = MachineConfig::default().shard_slice(threads);
+                mcfg.interconnect = interconnect;
+                mcfg.interconnect.epoch_cycles = 10_000;
+                mcfg.interconnect.llc_sets = 8;
+                mcfg.interconnect.llc_ways = 2;
+                Ssp::new(mcfg, SspConfig::default())
+            },
+            |_| Sps::new(256, KeyDist::uniform(256)),
+            &cfg_n(mode, threads),
+            &schedule,
+        )
+    };
+    let fair = storm(InterconnectConfig::shared_fair(), ExecMode::Threaded).totals();
+    let hierarchy = storm(InterconnectConfig::shared_hierarchy(), ExecMode::Threaded);
+    let t = hierarchy.totals();
+    assert!(t.storms > 0, "no epoch cut tripped: {t:?}");
+    assert_eq!(t.lost_txns, 0, "{t:?}");
+    assert!(
+        t.elapsed_cycles > fair.elapsed_cycles,
+        "shared-LLC/coherence delay never charged: {} vs fair banks alone {}",
+        t.elapsed_cycles,
+        fair.elapsed_cycles
+    );
+    let sequential = storm(InterconnectConfig::shared_hierarchy(), ExecMode::Sequential);
+    assert_eq!(
+        hierarchy.shards, sequential.shards,
         "epoch storm modes diverged"
     );
 }

@@ -10,6 +10,10 @@
 //! zero-loss recovery-under-fire contract (storms trip mid-service, the
 //! outage is visible as a non-zero unavailability window, and no
 //! committed request is ever lost).
+//!
+//! The per-engine threaded == sequential == repeats cases honor
+//! `SSP_TEST_THREADS` (the CI matrix sets 1/2/4/8) and default to 2
+//! workers.
 
 use ssp::baselines::{RedoLog, ShadowPaging, UndoLog};
 use ssp::core::engine::Ssp;
@@ -24,11 +28,19 @@ use ssp::SspConfig;
 const REPEATS: usize = 5;
 const THREADS: usize = 2;
 
-fn cfg(mode: ExecMode) -> RunConfig {
+/// Worker count of the per-engine equivalence cases.
+fn threads() -> usize {
+    std::env::var("SSP_TEST_THREADS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(THREADS)
+}
+
+fn cfg(mode: ExecMode, threads: usize) -> RunConfig {
     RunConfig {
         txns: 160,
         warmup: 16,
-        threads: THREADS,
+        threads,
         seed: 0x5EA7_1CE5,
         mode,
     }
@@ -39,11 +51,20 @@ fn service_run<E: TxnEngine>(
     mode: ExecMode,
     svc: &ServiceConfig,
 ) -> ServiceRun<E> {
-    let shard = MachineConfig::default().shard_slice(THREADS);
+    service_run_n(mk, mode, svc, THREADS)
+}
+
+fn service_run_n<E: TxnEngine>(
+    mk: &(impl Fn(MachineConfig) -> E + Sync),
+    mode: ExecMode,
+    svc: &ServiceConfig,
+    threads: usize,
+) -> ServiceRun<E> {
+    let shard = MachineConfig::default().shard_slice(threads);
     run_service(
         move |_| mk(shard.clone()),
         |_| Sps::new(512, KeyDist::uniform(512)),
-        &cfg(mode),
+        &cfg(mode, threads),
         svc,
     )
 }
@@ -75,10 +96,11 @@ fn assert_engine_equivalence<E: TxnEngine>(mk: impl Fn(MachineConfig) -> E + Syn
         period_cycles: 600,
         ..ServiceConfig::default()
     };
-    let reference = service_run(&mk, ExecMode::Sequential, &svc);
+    let n = threads();
+    let reference = service_run_n(&mk, ExecMode::Sequential, &svc, n);
     assert!(reference.service.conserves(), "{:?}", reference.service);
     for rep in 0..REPEATS {
-        let threaded = service_run(&mk, ExecMode::Threaded, &svc);
+        let threaded = service_run_n(&mk, ExecMode::Threaded, &svc, n);
         assert_runs_match(&threaded, &reference, &format!("rep {rep}"));
     }
 }

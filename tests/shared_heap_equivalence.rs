@@ -5,7 +5,7 @@
 //! (a) the single-host-thread sequential reference and (b) itself
 //! across repeated runs — for every engine.
 //!
-//! The thread count honors `SSP_SHARED_THREADS` (the CI matrix sets
+//! The thread count honors `SSP_TEST_THREADS` (the CI matrix sets
 //! 1/2/4/8) and defaults to 4.
 
 use ssp::baselines::{RedoLog, ShadowPaging, UndoLog};
@@ -23,7 +23,7 @@ const REPEATS: usize = 5;
 const DIAL: f64 = 0.7;
 
 fn threads() -> usize {
-    std::env::var("SSP_SHARED_THREADS")
+    std::env::var("SSP_TEST_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(4)

@@ -7,6 +7,7 @@
 
 #![warn(missing_docs)]
 
+pub mod gates;
 pub mod json;
 pub mod matrix;
 pub mod report;
@@ -27,7 +28,6 @@ use ssp_simulator::config::MachineConfig;
 use ssp_txn::engine::TxnEngine;
 pub use ssp_workloads::runner::{ExecMode, ParallelRun, RunConfig, RunResult, Workload};
 
-use ssp_workloads::runner::{run, run_parallel};
 use ssp_workloads::{
     BTreeWorkload, HashWorkload, KeyDist, MemcachedWorkload, RbTreeWorkload, Sps, VacationWorkload,
 };
@@ -228,181 +228,53 @@ pub fn make_workload(kind: WorkloadKind, scale: Scale) -> Box<dyn Workload> {
     }
 }
 
-/// Caches workload *prototypes* keyed by (kind, scale), so matrix loops
-/// build each workload once and hand out clones per cell — the heavy
-/// per-cell state (engine, machine, persistent layout) is still fresh per
-/// cell, but distributions and layout parameters are derived once and the
-/// construction no longer sits inside the (engines × workloads) product.
-///
-/// Cached and uncached cells produce bit-identical results (prototypes
-/// carry no engine-bound state; clones are [`Workload::reset`] before
-/// use) — `cached_cells_match_uncached_cells` in this crate's tests locks
-/// that in.
-#[derive(Default)]
-pub struct WorkloadCache {
-    map: std::collections::HashMap<(WorkloadKind, Scale), Box<dyn Workload>>,
+/// Whether quick (smoke-scale) mode is on: `SSP_BENCH_QUICK` set to
+/// anything but the empty string or `0`.
+pub fn quick_mode() -> bool {
+    quick_flag(std::env::var("SSP_BENCH_QUICK").ok().as_deref())
 }
 
-impl WorkloadCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A fresh (reset) clone of the prototype for `(kind, scale)`,
-    /// building the prototype on first use.
-    pub fn get(&mut self, kind: WorkloadKind, scale: Scale) -> Box<dyn Workload> {
-        let proto = self
-            .map
-            .entry((kind, scale))
-            .or_insert_with(|| make_workload(kind, scale));
-        let mut workload = proto.clone();
-        workload.reset();
-        workload
-    }
+fn quick_flag(value: Option<&str>) -> bool {
+    !matches!(value, None | Some("" | "0"))
 }
 
-/// Runs one (engine, workload) cell of the evaluation matrix.
-///
-/// Single-threaded cells use the legacy single-machine driver; cells with
-/// `run_cfg.threads > 1` (or an enabled interconnect) run real worker
-/// threads on the sharded driver and return the merged result.
-///
-/// Matrix loops should prefer [`run_cell_cached`], which reuses workload
-/// prototypes across cells.
-pub fn run_cell(
-    engine_kind: EngineKind,
-    workload_kind: WorkloadKind,
-    cfg: &MachineConfig,
-    ssp_cfg: &SspConfig,
-    scale: Scale,
-    run_cfg: &RunConfig,
-) -> RunResult {
-    run_cell_cached(
-        &mut WorkloadCache::new(),
-        engine_kind,
-        workload_kind,
-        cfg,
-        ssp_cfg,
-        scale,
-        run_cfg,
-    )
-}
-
-/// [`run_cell`] with a [`WorkloadCache`]: the workload is cloned from the
-/// cache's prototype instead of being rebuilt for every cell.
-pub fn run_cell_cached(
-    cache: &mut WorkloadCache,
-    engine_kind: EngineKind,
-    workload_kind: WorkloadKind,
-    cfg: &MachineConfig,
-    ssp_cfg: &SspConfig,
-    scale: Scale,
-    run_cfg: &RunConfig,
-) -> RunResult {
-    // Interconnect-enabled cells always use the sharded driver — only it
-    // drains and arbitrates the event streams (the legacy driver asserts
-    // against such machines), and `run_parallel` handles a single
-    // one-client shard fine.
-    if run_cfg.threads > 1 || cfg.interconnect.enabled {
-        // per_shard(1) is the identity except for its >= 16 floor, which
-        // would silently inflate tiny custom scales — skip it for the
-        // one-worker interconnect path.
-        let shard_scale = if run_cfg.threads > 1 {
-            scale.per_shard(run_cfg.threads)
-        } else {
-            scale
-        };
-        let proto = cache.get(workload_kind, shard_scale);
-        return run_parallel_cell(engine_kind, proto, cfg, ssp_cfg, run_cfg).result;
-    }
-    let mut workload = cache.get(workload_kind, scale);
-    run_machine_cell(engine_kind, workload.as_mut(), cfg, ssp_cfg, run_cfg)
-}
-
-/// The legacy one-machine driver over an already-built workload: all
-/// `run_cfg.threads` simulated cores drive *one* machine and *one*
-/// workload instance, round-robin on the calling thread.
-fn run_machine_cell(
-    engine_kind: EngineKind,
-    workload: &mut dyn Workload,
-    cfg: &MachineConfig,
-    ssp_cfg: &SspConfig,
-    run_cfg: &RunConfig,
-) -> RunResult {
-    match engine_kind {
-        EngineKind::Undo => {
-            let mut e = UndoLog::new(cfg.clone());
-            run(&mut e, workload, run_cfg)
-        }
-        EngineKind::Redo => {
-            let mut e = RedoLog::new(cfg.clone());
-            run(&mut e, workload, run_cfg)
-        }
-        EngineKind::Ssp => {
-            let mut e = Ssp::new(cfg.clone(), ssp_cfg.clone());
-            run(&mut e, workload, run_cfg)
-        }
-        EngineKind::Shadow => {
-            let mut e = ShadowPaging::new(cfg.clone());
-            run(&mut e, workload, run_cfg)
-        }
-    }
-}
-
-/// The sharded driver over a workload prototype (cloned per worker):
-/// worker `w` owns a [`MachineConfig::shard_slice_for`] slice of `cfg`
-/// (remainders of the shared L3/banks distributed so the slices sum to
-/// the parent machine) and its own deterministic RNG stream (see the
-/// `ssp-workloads` runner docs for the determinism contract).
-fn run_parallel_cell(
-    engine_kind: EngineKind,
-    proto: Box<dyn Workload>,
-    cfg: &MachineConfig,
-    ssp_cfg: &SspConfig,
-    run_cfg: &RunConfig,
-) -> ParallelRun<BoxedEngine> {
-    let shard_cfgs: Vec<MachineConfig> = (0..run_cfg.threads)
-        .map(|w| cfg.shard_slice_for(run_cfg.threads, w))
-        .collect();
-    let ssp_cfg = ssp_cfg.clone();
-    run_parallel(
-        move |w| make_engine(engine_kind, &shard_cfgs[w], &ssp_cfg),
-        move |_w| proto.clone(),
-        run_cfg,
-    )
-}
-
-/// Default transaction counts for the measured phase.
-pub fn default_run_cfg(threads: usize) -> RunConfig {
-    RunConfig {
-        txns: 4_000,
-        warmup: 500,
-        threads,
-        seed: 0x55d0_2019,
-        mode: ExecMode::Threaded,
-    }
-}
-
-/// Quick-mode counts (set `SSP_BENCH_QUICK=1`).
-pub fn quick_run_cfg(threads: usize) -> RunConfig {
-    RunConfig {
-        txns: 400,
-        warmup: 50,
-        threads,
-        seed: 0x55d0_2019,
-        mode: ExecMode::Threaded,
-    }
-}
-
-/// Selects run parameters and scale from the environment: quick mode
-/// shrinks everything for CI smoke runs.
+/// Selects run parameters and scale from the environment: 4,000 measured
+/// transactions after 500 warm-up ones at [`Scale::DEFAULT`], or a tenth of
+/// that at [`Scale::SMOKE`] in quick mode (CI smoke runs).
 pub fn env_setup(threads: usize) -> (RunConfig, Scale) {
-    if std::env::var("SSP_BENCH_QUICK").is_ok() {
-        (quick_run_cfg(threads), Scale::SMOKE)
-    } else {
-        (default_run_cfg(threads), Scale::DEFAULT)
+    let quick = quick_mode();
+    let run_cfg = RunConfig {
+        txns: if quick { 400 } else { 4_000 },
+        warmup: if quick { 50 } else { 500 },
+        threads,
+        seed: 0x55d0_2019,
+        mode: ExecMode::Threaded,
+    };
+    (run_cfg, if quick { Scale::SMOKE } else { Scale::DEFAULT })
+}
+
+/// The one determinism check for cells driven outside [`MatrixRunner`]:
+/// runs `cell` threaded, threaded again, then sequentially, asserts the
+/// projection `key` is equal across the three runs (threaded == repeat ==
+/// sequential, bit for bit) and returns the first threaded run.
+pub fn agree<R, K: PartialEq + std::fmt::Debug>(
+    label: &str,
+    cell: impl Fn(ExecMode) -> R,
+    key: impl Fn(&R) -> K,
+) -> R {
+    let first = cell(ExecMode::Threaded);
+    let expected = key(&first);
+    for (what, mode) in [
+        ("threaded repeat", ExecMode::Threaded),
+        ("sequential run", ExecMode::Sequential),
+    ] {
+        assert_eq!(
+            key(&cell(mode)),
+            expected,
+            "{label}: {what} diverged from the first threaded run"
+        );
     }
+    first
 }
 
 /// Prints a table: rows = workloads, columns = engines, formatted values.
@@ -468,10 +340,24 @@ pub fn latency_rows<'a>(
 mod tests {
     use super::*;
 
-    #[test]
-    fn factories_produce_every_cell() {
+    fn cells(
+        engines: &[EngineKind],
+        workloads: &[WorkloadKind],
+        run_cfg: &RunConfig,
+    ) -> Vec<RunResult> {
         let cfg = MachineConfig::default().with_cores(1);
         let ssp_cfg = SspConfig::default();
+        let mut specs = Vec::new();
+        for &e in engines {
+            for &w in workloads {
+                specs.push(CellSpec::new(e, w, &cfg, &ssp_cfg, Scale::SMOKE, run_cfg));
+            }
+        }
+        MatrixRunner::with_pool(2).run(&specs)
+    }
+
+    #[test]
+    fn factories_produce_every_cell() {
         let run_cfg = RunConfig {
             txns: 20,
             warmup: 5,
@@ -479,24 +365,14 @@ mod tests {
             seed: 1,
             mode: ExecMode::Threaded,
         };
-        for ekind in EngineKind::PAPER {
-            let r = run_cell(
-                ekind,
-                WorkloadKind::Sps,
-                &cfg,
-                &ssp_cfg,
-                Scale::SMOKE,
-                &run_cfg,
-            );
-            assert_eq!(r.txn_stats.committed, 20, "{}", ekind.name());
+        for r in cells(&EngineKind::PAPER, &[WorkloadKind::Sps], &run_cfg) {
+            assert_eq!(r.txn_stats.committed, 20, "{}", r.engine);
             assert!(r.tps > 0.0);
         }
     }
 
     #[test]
     fn all_workloads_run_under_ssp() {
-        let cfg = MachineConfig::default().with_cores(1);
-        let ssp_cfg = SspConfig::default();
         let run_cfg = RunConfig {
             txns: 10,
             warmup: 2,
@@ -504,61 +380,24 @@ mod tests {
             seed: 2,
             mode: ExecMode::Threaded,
         };
-        for wkind in WorkloadKind::ALL {
-            let r = run_cell(
-                EngineKind::Ssp,
-                wkind,
-                &cfg,
-                &ssp_cfg,
-                Scale::SMOKE,
-                &run_cfg,
-            );
-            assert_eq!(r.txn_stats.committed, 10, "{}", wkind.name());
+        for r in cells(&[EngineKind::Ssp], &WorkloadKind::ALL, &run_cfg) {
+            assert_eq!(r.txn_stats.committed, 10, "{}", r.workload);
         }
     }
 
     #[test]
-    fn cached_cells_match_uncached_cells() {
-        // The prototype cache must be invisible in the results: same
-        // seeds, same streams, bit-identical counters — single-threaded
-        // and sharded.
-        let cfg = MachineConfig::default().with_cores(2);
-        let ssp_cfg = SspConfig::default();
-        let mut cache = WorkloadCache::new();
-        for threads in [1usize, 2] {
-            let run_cfg = RunConfig {
-                txns: 40,
-                warmup: 8,
-                threads,
-                seed: 3,
-                mode: ExecMode::Threaded,
-            };
-            for wkind in [WorkloadKind::Sps, WorkloadKind::BTreeZipf] {
-                for ekind in [EngineKind::Ssp, EngineKind::Undo] {
-                    let uncached = run_cell(ekind, wkind, &cfg, &ssp_cfg, Scale::SMOKE, &run_cfg);
-                    // Twice from the cache: the second clone exercises the
-                    // reuse path on a warm prototype.
-                    for _ in 0..2 {
-                        let cached = run_cell_cached(
-                            &mut cache,
-                            ekind,
-                            wkind,
-                            &cfg,
-                            &ssp_cfg,
-                            Scale::SMOKE,
-                            &run_cfg,
-                        );
-                        assert_eq!(
-                            cached,
-                            uncached,
-                            "{} {} x{threads}",
-                            ekind.name(),
-                            wkind.name()
-                        );
-                    }
-                }
-            }
-        }
+    fn quick_flag_treats_unset_empty_and_zero_as_off() {
+        assert!(!quick_flag(None));
+        assert!(!quick_flag(Some("")));
+        assert!(!quick_flag(Some("0")));
+        assert!(quick_flag(Some("1")));
+        assert!(quick_flag(Some("yes")));
+    }
+
+    #[test]
+    #[should_panic(expected = "sequential run diverged")]
+    fn agree_catches_a_mode_dependent_cell() {
+        agree("unit", |mode| mode == ExecMode::Sequential, |&r| r);
     }
 
     #[test]

@@ -43,7 +43,7 @@ use ssp_workloads::runner::{
     warm_parallel, warm_single, RunConfig, RunResult, SingleRun, WarmParallel, WarmSingle, Workload,
 };
 
-use crate::{EngineKind, Scale, WorkloadCache, WorkloadKind};
+use crate::{make_workload, EngineKind, Scale, WorkloadKind};
 
 /// A concrete, cloneable engine — the snapshot unit of the engine cache.
 /// (Boxed `dyn TxnEngine` cannot be cloned; the matrix runner knows the
@@ -146,9 +146,8 @@ impl TxnEngine for AnyEngine {
 /// Which driver a cell runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellDriver {
-    /// Route like [`crate::run_cell_cached`]: `threads > 1` or an enabled
-    /// interconnect selects the sharded driver, everything else the
-    /// legacy single-machine driver.
+    /// `threads > 1` or an enabled interconnect selects the sharded
+    /// driver, everything else the legacy single-machine driver.
     Auto,
     /// Force the legacy shared-machine driver with `run_cfg.threads`
     /// simulated cores on *one* machine and *one* workload instance
@@ -180,16 +179,13 @@ pub struct CellSpec {
     pub run_cfg: RunConfig,
     /// Driver selection.
     pub driver: CellDriver,
-    /// When true, `scale` is already the per-worker scale and the sharded
-    /// driver must not apply [`Scale::per_shard`] (the contention sweeps
-    /// keep a constant per-client slice as clients grow).
-    pub scale_is_per_worker: bool,
-    /// When true, `cfg` is already the per-worker machine and the sharded
-    /// driver hands every worker a copy instead of slicing it
-    /// ([`MachineConfig::shard_slice_for`]) — the contention sweeps give
-    /// each client a constant machine slice while the *interconnect*
+    /// When true, `cfg` and `scale` already describe one worker: the
+    /// sharded driver hands every worker a copy of `cfg` instead of
+    /// slicing it ([`MachineConfig::shard_slice_for`]) and does not apply
+    /// [`Scale::per_shard`] — the contention sweeps give each client a
+    /// constant machine slice and working set while the *interconnect*
     /// varies.
-    pub cfg_is_per_worker: bool,
+    pub per_worker: bool,
 }
 
 impl CellSpec {
@@ -210,8 +206,7 @@ impl CellSpec {
             scale,
             run_cfg: run_cfg.clone(),
             driver: CellDriver::Auto,
-            scale_is_per_worker: false,
-            cfg_is_per_worker: false,
+            per_worker: false,
         }
     }
 
@@ -227,38 +222,28 @@ impl CellSpec {
         self
     }
 
-    /// Marks `scale` as already-per-worker (sharded driver only).
-    pub fn per_worker_scale(mut self) -> Self {
-        self.scale_is_per_worker = true;
+    /// Marks `cfg` and `scale` as already-per-worker (sharded driver
+    /// only).
+    pub fn per_worker(mut self) -> Self {
+        self.per_worker = true;
         self
     }
 
-    /// Marks `cfg` as already-per-worker (sharded driver only).
-    pub fn per_worker_machine(mut self) -> Self {
-        self.cfg_is_per_worker = true;
-        self
-    }
-
-    fn resolved(&self) -> Resolved {
+    /// Whether the cell runs on the sharded driver (otherwise on the
+    /// one-machine driver, with `run_cfg.threads` cores on one machine).
+    fn sharded_driver(&self) -> bool {
         match self.driver {
-            CellDriver::SharedMachine => Resolved::Shared,
-            CellDriver::Sharded => Resolved::Sharded,
-            CellDriver::Auto => {
-                if self.run_cfg.threads > 1 || self.cfg.interconnect.enabled {
-                    Resolved::Sharded
-                } else {
-                    Resolved::Single
-                }
-            }
+            CellDriver::SharedMachine => false,
+            CellDriver::Sharded => true,
+            CellDriver::Auto => self.run_cfg.threads > 1 || self.cfg.interconnect.enabled,
         }
     }
 
-    /// The scale each engine/workload instance actually runs at.
+    /// The scale each engine/workload instance actually runs at. One
+    /// worker keeps `scale` as is: `per_shard(1)` is the identity except
+    /// for its >= 16 floor, which would inflate tiny custom scales.
     fn effective_scale(&self) -> Scale {
-        if self.resolved() == Resolved::Sharded
-            && !self.scale_is_per_worker
-            && self.run_cfg.threads > 1
-        {
+        if self.sharded_driver() && !self.per_worker && self.run_cfg.threads > 1 {
             self.scale.per_shard(self.run_cfg.threads)
         } else {
             self.scale
@@ -277,12 +262,12 @@ impl CellSpec {
         // only there share one warm state (Figure 9's REDO baseline).
         let ssp_gate = (self.engine == EngineKind::Ssp).then_some(&self.ssp_cfg);
         format!(
-            "{:?}|{:?}|{:?}|cfg{:?}|percfg{}|ssp{:?}|scale{:?}|warmup{}|seed{:#x}|threads{}",
-            self.resolved(),
+            "sharded{}|{:?}|{:?}|cfg{:?}|perworker{}|ssp{:?}|scale{:?}|warmup{}|seed{:#x}|threads{}",
+            self.sharded_driver(),
             self.engine,
             self.workload,
             self.cfg,
-            self.cfg_is_per_worker,
+            self.per_worker,
             ssp_gate,
             self.effective_scale(),
             self.run_cfg.warmup,
@@ -295,13 +280,6 @@ impl CellSpec {
     fn cell_key(&self) -> String {
         format!("{}|txns{}", self.warm_key(), self.run_cfg.txns)
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resolved {
-    Single,
-    Sharded,
-    Shared,
 }
 
 /// One executed cell: the deterministic result plus the engines (one per
@@ -317,19 +295,11 @@ pub struct CellOut {
     pub host_elapsed: Duration,
 }
 
+#[derive(Clone)]
 #[allow(clippy::large_enum_variant)]
 enum WarmAny {
     Single(WarmSingle<AnyEngine>),
     Parallel(WarmParallel<AnyEngine, Box<dyn Workload>>),
-}
-
-impl Clone for WarmAny {
-    fn clone(&self) -> Self {
-        match self {
-            WarmAny::Single(w) => WarmAny::Single(w.clone()),
-            WarmAny::Parallel(w) => WarmAny::Parallel(w.clone()),
-        }
-    }
 }
 
 #[derive(Default)]
@@ -344,7 +314,6 @@ struct WarmStore {
 pub struct MatrixRunner {
     pool: usize,
     cache_enabled: bool,
-    protos: Mutex<WorkloadCache>,
     results: Mutex<HashMap<String, RunResult>>,
     warm: Mutex<WarmStore>,
     memo_hits: AtomicU64,
@@ -380,7 +349,6 @@ impl MatrixRunner {
         Self {
             pool,
             cache_enabled: true,
-            protos: Mutex::new(WorkloadCache::new()),
             results: Mutex::new(HashMap::new()),
             warm: Mutex::new(WarmStore::default()),
             memo_hits: AtomicU64::new(0),
@@ -455,23 +423,24 @@ impl MatrixRunner {
         }
     }
 
-    fn run_pooled(&self, specs: &[CellSpec], want_engines: bool) -> Vec<CellOut> {
-        self.register_interest(specs);
-        let workers = self.pool.min(specs.len());
+    /// Applies `f` to every item over the host-thread pool and returns the
+    /// results in item order — the one pooled entry point: spec grids run
+    /// through it, and so do targets whose cells are not [`CellSpec`]s
+    /// (crash storms, the shared heap, service mode). Items are handed out
+    /// in order; scheduling never shows in the results.
+    pub fn map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        let workers = self.pool.min(items.len());
         if workers <= 1 {
-            return specs.iter().map(|s| self.exec(s, want_engines)).collect();
+            return items.iter().map(f).collect();
         }
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<CellOut>>> = specs.iter().map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= specs.len() {
-                        break;
-                    }
-                    let out = self.exec(&specs[i], want_engines);
-                    *slots[i].lock().expect("result slot") = Some(out);
+                    let Some(item) = items.get(i) else { break };
+                    *slots[i].lock().expect("result slot") = Some(f(item));
                 });
             }
         });
@@ -480,9 +449,14 @@ impl MatrixRunner {
             .map(|slot| {
                 slot.into_inner()
                     .expect("result slot")
-                    .expect("every cell executed")
+                    .expect("every item ran")
             })
             .collect()
+    }
+
+    fn run_pooled(&self, specs: &[CellSpec], want_engines: bool) -> Vec<CellOut> {
+        self.register_interest(specs);
+        self.map(specs, |s| self.exec(s, want_engines))
     }
 
     fn exec(&self, spec: &CellSpec, want_engines: bool) -> CellOut {
@@ -591,37 +565,32 @@ impl MatrixRunner {
         }
     }
 
-    /// Cold warm-up of one cell, replicating [`crate::run_cell_cached`]'s
-    /// routing exactly.
+    /// Cold warm-up of one cell: engines and workloads are built fresh
+    /// (on each worker's own thread for the sharded driver).
     fn build_warm(&self, spec: &CellSpec) -> WarmAny {
-        let scale = spec.effective_scale();
-        let proto = self
-            .protos
-            .lock()
-            .expect("workload prototypes")
-            .get(spec.workload, scale);
-        match spec.resolved() {
-            Resolved::Single | Resolved::Shared => {
-                let engine = AnyEngine::build(spec.engine, &spec.cfg, &spec.ssp_cfg);
-                WarmAny::Single(warm_single(engine, proto, &spec.run_cfg))
-            }
-            Resolved::Sharded => {
-                let threads = spec.run_cfg.threads;
-                let shard_cfgs: Vec<MachineConfig> = if spec.cfg_is_per_worker {
-                    vec![spec.cfg.clone(); threads]
-                } else {
-                    (0..threads)
-                        .map(|w| spec.cfg.shard_slice_for(threads, w))
-                        .collect()
-                };
-                let (engine, ssp_cfg) = (spec.engine, spec.ssp_cfg.clone());
-                WarmAny::Parallel(warm_parallel(
-                    move |w| AnyEngine::build(engine, &shard_cfgs[w], &ssp_cfg),
-                    move |_w| proto.clone(),
-                    &spec.run_cfg,
-                ))
-            }
+        let (kind, scale) = (spec.workload, spec.effective_scale());
+        if !spec.sharded_driver() {
+            let engine = AnyEngine::build(spec.engine, &spec.cfg, &spec.ssp_cfg);
+            return WarmAny::Single(warm_single(
+                engine,
+                make_workload(kind, scale),
+                &spec.run_cfg,
+            ));
         }
+        let threads = spec.run_cfg.threads;
+        let shard_cfgs: Vec<MachineConfig> = if spec.per_worker {
+            vec![spec.cfg.clone(); threads]
+        } else {
+            (0..threads)
+                .map(|w| spec.cfg.shard_slice_for(threads, w))
+                .collect()
+        };
+        let (engine, ssp_cfg) = (spec.engine, spec.ssp_cfg.clone());
+        WarmAny::Parallel(warm_parallel(
+            move |w| AnyEngine::build(engine, &shard_cfgs[w], &ssp_cfg),
+            move |_w| make_workload(kind, scale),
+            &spec.run_cfg,
+        ))
     }
 }
 
@@ -634,7 +603,7 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{env_setup, run_cell};
+    use crate::env_setup;
     use ssp_workloads::runner::ExecMode;
 
     fn small_run(threads: usize) -> RunConfig {
@@ -673,16 +642,9 @@ mod tests {
         let specs = grid();
         let runner = MatrixRunner::with_pool(4);
         let pooled = runner.run(&specs);
+        let cold = MatrixRunner::with_pool(1).without_cache();
         for (spec, got) in specs.iter().zip(&pooled) {
-            let direct = run_cell(
-                spec.engine,
-                spec.workload,
-                &spec.cfg,
-                &spec.ssp_cfg,
-                spec.scale,
-                &spec.run_cfg,
-            );
-            assert_eq!(got, &direct);
+            assert_eq!(got, &cold.run(std::slice::from_ref(spec))[0]);
         }
         // A second pass over the same grid is served from the result memo
         // (the first pass may race its duplicate cell across pool

@@ -93,12 +93,15 @@ impl BenchReport {
     }
 
     /// Writes `BENCH_<name>.json` into `$SSP_BENCH_JSON_DIR` (default:
-    /// the current directory) and returns the path written. Errors are
-    /// printed, not fatal — a read-only filesystem must not kill a bench.
+    /// the current directory) and returns the path written. Write errors
+    /// are printed, not fatal — a read-only filesystem must not kill a
+    /// bench. Then checks the report against its [`crate::gates`] entry
+    /// and panics listing every violation, so a bench whose numbers break
+    /// a gate fails loudly (with its JSON on disk for inspection).
     pub fn write(&self) -> Option<PathBuf> {
         let dir = std::env::var("SSP_BENCH_JSON_DIR").unwrap_or_else(|_| ".".to_string());
         let path = PathBuf::from(dir).join(format!("BENCH_{}.json", self.name));
-        match std::fs::write(&path, self.to_json().render()) {
+        let written = match std::fs::write(&path, self.to_json().render()) {
             Ok(()) => {
                 println!("\nwrote {}", path.display());
                 Some(path)
@@ -107,7 +110,15 @@ impl BenchReport {
                 eprintln!("\ncould not write {}: {e}", path.display());
                 None
             }
-        }
+        };
+        let violations = crate::gates::check(&self.name, &self.sim);
+        assert!(
+            violations.is_empty(),
+            "BENCH_{}.json breaks its gates:\n  {}",
+            self.name,
+            violations.join("\n  ")
+        );
+        written
     }
 }
 

@@ -22,8 +22,8 @@ use std::time::Instant;
 use ssp_simulator::config::MachineConfig;
 use ssp_simulator::stats::WriteClass;
 
-use super::quick_mode;
 use crate::json::Json;
+use crate::quick_mode;
 use crate::{
     attach_latency, cell_json, env_setup, fmt_ratio, latency_rows, print_matrix, BenchReport,
     CellOut, CellSpec, EngineKind, MatrixRunner, SspConfig, WorkloadKind,
@@ -45,78 +45,45 @@ const SUBPAGE_SETTINGS: [(usize, &str); 3] = [(1, "64 B"), (4, "256 B"), (8, "51
 fn specs() -> Vec<CellSpec> {
     let cfg = MachineConfig::default().with_cores(1);
     let (run_cfg, scale) = env_setup(1);
+    let cell = |ekind, wkind, ssp_cfg: SspConfig| {
+        CellSpec::new(ekind, wkind, &cfg, &ssp_cfg, scale, &run_cfg)
+    };
+    let ssp = EngineKind::Ssp;
     let mut specs = Vec::new();
-
     for wkind in CONSOLIDATION_WORKLOADS {
-        for enabled in [true, false] {
+        for consolidation_enabled in [true, false] {
             let ssp_cfg = SspConfig {
-                consolidation_enabled: enabled,
+                consolidation_enabled,
                 ..SspConfig::default()
             };
-            specs.push(CellSpec::new(
-                EngineKind::Ssp,
-                wkind,
-                &cfg,
-                &ssp_cfg,
-                scale,
-                &run_cfg,
-            ));
+            specs.push(cell(ssp, wkind, ssp_cfg));
         }
     }
-    for capacity in WRITE_SET_CAPACITIES {
+    for write_set_capacity in WRITE_SET_CAPACITIES {
         let ssp_cfg = SspConfig {
-            write_set_capacity: capacity,
+            write_set_capacity,
             ..SspConfig::default()
         };
-        specs.push(CellSpec::new(
-            EngineKind::Ssp,
-            WorkloadKind::RbTreeRand,
-            &cfg,
-            &ssp_cfg,
-            scale,
-            &run_cfg,
-        ));
+        specs.push(cell(ssp, WorkloadKind::RbTreeRand, ssp_cfg));
     }
-    let default_ssp = SspConfig::default();
     for wkind in SHADOW_WORKLOADS {
-        for ekind in [EngineKind::Ssp, EngineKind::Shadow] {
-            specs.push(CellSpec::new(
-                ekind,
-                wkind,
-                &cfg,
-                &default_ssp,
-                scale,
-                &run_cfg,
-            ));
+        for ekind in [ssp, EngineKind::Shadow] {
+            specs.push(cell(ekind, wkind, SspConfig::default()));
         }
     }
-    for threshold in CHECKPOINT_THRESHOLDS {
+    for checkpoint_threshold_bytes in CHECKPOINT_THRESHOLDS {
         let ssp_cfg = SspConfig {
-            checkpoint_threshold_bytes: threshold,
+            checkpoint_threshold_bytes,
             ..SspConfig::default()
         };
-        specs.push(CellSpec::new(
-            EngineKind::Ssp,
-            WorkloadKind::HashRand,
-            &cfg,
-            &ssp_cfg,
-            scale,
-            &run_cfg,
-        ));
+        specs.push(cell(ssp, WorkloadKind::HashRand, ssp_cfg));
     }
-    for (lps, _) in SUBPAGE_SETTINGS {
+    for (lines_per_subpage, _) in SUBPAGE_SETTINGS {
         let ssp_cfg = SspConfig {
-            lines_per_subpage: lps,
+            lines_per_subpage,
             ..SspConfig::default()
         };
-        specs.push(CellSpec::new(
-            EngineKind::Ssp,
-            WorkloadKind::HashRand,
-            &cfg,
-            &ssp_cfg,
-            scale,
-            &run_cfg,
-        ));
+        specs.push(cell(ssp, WorkloadKind::HashRand, ssp_cfg));
     }
     specs
 }

@@ -3,16 +3,12 @@
 //!
 //! Sweeps crash density (storm period in simulated cycles) × engine ×
 //! thread count, cutting power mid-run on every shard and recovering
-//! against the oracle after each cut. Three properties are asserted *in
-//! the target* on every cell, so CI fails loudly rather than baking a bad
-//! number into a baseline:
-//!
-//! 1. **Zero data loss** — `lost_txns == 0` for all four engines: no
-//!    committed transaction may disappear across any storm.
-//! 2. **Mode determinism** — the threaded and sequential drivers produce
-//!    bit-identical per-shard reports for the same seed + schedule.
-//! 3. **Repeat determinism** — a second threaded run reproduces the first
-//!    exactly.
+//! against the oracle after each cut. The cells run pooled on the
+//! [`MatrixRunner`]; each goes through [`agree`], so threaded, repeated
+//! and sequential runs must produce bit-identical per-shard reports.
+//! Zero data loss (`lost_txns == 0` for all four engines: no committed
+//! transaction may disappear across any storm) is a row check of
+//! [`crate::gates`], run on the report when it is written.
 //!
 //! Everything reported under `sim` (storm counts, torn-transaction
 //! resolution, recovery NVRAM traffic and cycle estimates, NVRAM
@@ -24,13 +20,12 @@ use std::time::Instant;
 use ssp_simulator::config::MachineConfig;
 use ssp_simulator::obs::{ObsConfig, ObsKind};
 use ssp_workloads::storm::{run_storm, StormRun, StormSchedule};
-use ssp_workloads::ExecMode;
+use ssp_workloads::{ExecMode, StormPoint};
 
-use super::quick_mode;
 use crate::json::Json;
 use crate::{
-    env_setup, make_engine, make_workload, print_matrix, BenchReport, EngineKind, MatrixRunner,
-    SspConfig, WorkloadKind,
+    agree, env_setup, make_engine, make_workload, print_matrix, quick_mode, BenchReport,
+    EngineKind, MatrixRunner, SspConfig, WorkloadKind,
 };
 
 const ENGINES: [EngineKind; 4] = [
@@ -40,8 +35,43 @@ const ENGINES: [EngineKind; 4] = [
     EngineKind::Shadow,
 ];
 
+/// One storm cell: `engine` on `threads` SPS shards of the default
+/// machine under `schedule`, with the observability ring on if `tracing`.
+fn storm_cell(
+    engine: EngineKind,
+    threads: usize,
+    schedule: &StormSchedule,
+    tracing: bool,
+    mode: ExecMode,
+) -> StormRun {
+    let (mut run_cfg, scale) = env_setup(threads);
+    // The storm driver oracle-checks from the first transaction; there is
+    // no separate warmup phase to exclude.
+    run_cfg.txns += run_cfg.warmup;
+    run_cfg.warmup = 0;
+    run_cfg.mode = mode;
+    let shard_scale = scale.per_shard(threads);
+    let shard_cfgs: Vec<MachineConfig> = (0..threads)
+        .map(|w| {
+            let mut c = MachineConfig::default().shard_slice_for(threads, w);
+            if tracing {
+                c.obs = ObsConfig::tracing();
+                c.obs.worker = w as u32;
+            }
+            c
+        })
+        .collect();
+    let ssp_cfg = SspConfig::default();
+    run_storm(
+        |w| make_engine(engine, &shard_cfgs[w], &ssp_cfg),
+        |_w| make_workload(WorkloadKind::Sps, shard_scale),
+        &run_cfg,
+        schedule,
+    )
+}
+
 /// Runs the target and returns its report.
-pub fn run(_runner: &MatrixRunner) -> BenchReport {
+pub fn run(runner: &MatrixRunner) -> BenchReport {
     let t0 = Instant::now();
     let quick = quick_mode();
     // Storm period in simulated cycles: smaller = denser crash schedule.
@@ -51,92 +81,57 @@ pub fn run(_runner: &MatrixRunner) -> BenchReport {
         &[4_000, 16_000, 64_000]
     };
     let thread_counts: &[usize] = if quick { &[1, 2] } else { &[1, 4] };
-
-    let mut sim_rows = Vec::new();
-    let mut rows = Vec::new();
+    let mut cells = Vec::new();
     for &threads in thread_counts {
-        let (mut run_cfg, scale) = env_setup(threads);
-        // The storm driver oracle-checks from the first transaction;
-        // there is no separate warmup phase to exclude.
-        run_cfg.txns += run_cfg.warmup;
-        run_cfg.warmup = 0;
-        let shard_scale = scale.per_shard(threads);
         for &period in periods {
+            cells.extend(ENGINES.map(|engine| (threads, period, engine)));
+        }
+    }
+
+    let (rows, sim_rows): (Vec<_>, Vec<_>) = runner
+        .map(&cells, |&(threads, period, engine)| {
             let schedule = StormSchedule {
-                points: vec![ssp_workloads::StormPoint::AfterCycles(period)],
+                points: vec![StormPoint::AfterCycles(period)],
                 crash_during_recovery: true,
                 rearm: true,
             };
-            for engine in ENGINES {
-                let cfg = MachineConfig::default();
-                let ssp_cfg = SspConfig::default();
-                let shard_cfgs: Vec<MachineConfig> = (0..threads)
-                    .map(|w| cfg.shard_slice_for(threads, w))
-                    .collect();
-                let storm = |mode: ExecMode| -> StormRun {
-                    let mut mode_cfg = run_cfg.clone();
-                    mode_cfg.mode = mode;
-                    run_storm(
-                        |w| make_engine(engine, &shard_cfgs[w], &ssp_cfg),
-                        |_w| make_workload(WorkloadKind::Sps, shard_scale),
-                        &mode_cfg,
-                        &schedule,
-                    )
-                };
-
-                let threaded = storm(ExecMode::Threaded);
-                let repeat = storm(ExecMode::Threaded);
-                let sequential = storm(ExecMode::Sequential);
-                assert_eq!(
-                    threaded.shards,
-                    repeat.shards,
-                    "{} p{period} x{threads}: threaded repeat drifted",
-                    engine.name()
-                );
-                assert_eq!(
-                    threaded.shards,
-                    sequential.shards,
-                    "{} p{period} x{threads}: threaded vs sequential diverged",
-                    engine.name()
-                );
-                let t = threaded.totals();
-                assert_eq!(
-                    t.lost_txns,
-                    0,
-                    "{} p{period} x{threads} lost committed transactions: {t:?}",
-                    engine.name()
-                );
-
-                rows.push((
-                    format!("{} p{} x{}", engine.name(), period / 1000, threads),
-                    vec![
-                        format!("{}", t.storms),
-                        format!("{}", t.torn_txns),
-                        format!("{}", t.kept_torn_txns),
-                        format!("{}", t.torn_recoveries),
-                        format!("{}", t.lost_txns),
-                        format!("{}", t.recovery_cycles_est),
-                    ],
-                ));
-                let mut sim = Json::obj();
-                sim.set("engine", Json::Str(engine.name().to_string()));
-                sim.set("storm_period_cycles", Json::U64(period));
-                sim.set("threads", Json::U64(threads as u64));
-                sim.set("txns", Json::U64(t.txns));
-                sim.set("storms", Json::U64(t.storms));
-                sim.set("torn_txns", Json::U64(t.torn_txns));
-                sim.set("kept_torn_txns", Json::U64(t.kept_torn_txns));
-                sim.set("torn_recoveries", Json::U64(t.torn_recoveries));
-                sim.set("lost_txns", Json::U64(t.lost_txns));
-                sim.set("recovery_nvram_reads", Json::U64(t.recovery_nvram_reads));
-                sim.set("recovery_nvram_writes", Json::U64(t.recovery_nvram_writes));
-                sim.set("recovery_cycles_est", Json::U64(t.recovery_cycles_est));
-                sim.set("elapsed_cycles", Json::U64(t.elapsed_cycles));
-                sim.set("fingerprint", Json::U64(threaded.combined_fingerprint()));
-                sim_rows.push(sim);
-            }
-        }
-    }
+            let label = format!("{} p{period} x{threads}", engine.name());
+            let storm = agree(
+                &label,
+                |mode| storm_cell(engine, threads, &schedule, false, mode),
+                |r| r.shards.clone(),
+            );
+            let t = storm.totals();
+            let row = (
+                format!("{} p{} x{}", engine.name(), period / 1000, threads),
+                vec![
+                    format!("{}", t.storms),
+                    format!("{}", t.torn_txns),
+                    format!("{}", t.kept_torn_txns),
+                    format!("{}", t.torn_recoveries),
+                    format!("{}", t.lost_txns),
+                    format!("{}", t.recovery_cycles_est),
+                ],
+            );
+            let mut sim = Json::obj();
+            sim.set("engine", Json::Str(engine.name().to_string()));
+            sim.set("storm_period_cycles", Json::U64(period));
+            sim.set("threads", Json::U64(threads as u64));
+            sim.set("txns", Json::U64(t.txns));
+            sim.set("storms", Json::U64(t.storms));
+            sim.set("torn_txns", Json::U64(t.torn_txns));
+            sim.set("kept_torn_txns", Json::U64(t.kept_torn_txns));
+            sim.set("torn_recoveries", Json::U64(t.torn_recoveries));
+            sim.set("lost_txns", Json::U64(t.lost_txns));
+            sim.set("recovery_nvram_reads", Json::U64(t.recovery_nvram_reads));
+            sim.set("recovery_nvram_writes", Json::U64(t.recovery_nvram_writes));
+            sim.set("recovery_cycles_est", Json::U64(t.recovery_cycles_est));
+            sim.set("elapsed_cycles", Json::U64(t.elapsed_cycles));
+            sim.set("fingerprint", Json::U64(storm.combined_fingerprint()));
+            (row, sim)
+        })
+        .into_iter()
+        .unzip();
     print_matrix(
         "Crash storms (SPS): period(kcyc) x threads",
         &[
@@ -151,7 +146,7 @@ pub fn run(_runner: &MatrixRunner) -> BenchReport {
     );
     println!("\nevery cell is run threaded twice and sequentially once; all three");
     println!("runs must match bit-for-bit, and no engine may lose a committed");
-    println!("transaction (lost == 0 is asserted, not just reported)");
+    println!("transaction (lost == 0 is gated, not just reported)");
 
     let mut report = BenchReport::new("crash_storm", quick);
     report.sim("rows", Json::Arr(sim_rows));
@@ -167,33 +162,12 @@ pub fn run(_runner: &MatrixRunner) -> BenchReport {
 /// surfaced under `host` — the observability layer stays out of the
 /// exact-gated `sim` baselines.
 fn flight_recorder_cell() -> Json {
-    const THREADS: usize = 2;
-    let (mut run_cfg, scale) = env_setup(THREADS);
-    run_cfg.txns += run_cfg.warmup;
-    run_cfg.warmup = 0;
-    let shard_scale = scale.per_shard(THREADS);
     let schedule = StormSchedule {
-        points: vec![ssp_workloads::StormPoint::AfterCycles(3_000)],
+        points: vec![StormPoint::AfterCycles(3_000)],
         crash_during_recovery: false,
         rearm: true,
     };
-    let ssp_cfg = SspConfig::default();
-    let cfg = MachineConfig::default();
-    let shard_cfgs: Vec<MachineConfig> = (0..THREADS)
-        .map(|w| {
-            let mut c = cfg.shard_slice_for(THREADS, w);
-            c.obs = ObsConfig::tracing();
-            c.obs.worker = w as u32;
-            c
-        })
-        .collect();
-    let storm = run_storm(
-        |w| make_engine(EngineKind::Ssp, &shard_cfgs[w], &ssp_cfg),
-        |_w| make_workload(WorkloadKind::Sps, shard_scale),
-        &run_cfg,
-        &schedule,
-    );
-
+    let storm = storm_cell(EngineKind::Ssp, 2, &schedule, true, ExecMode::Threaded);
     let mut shards = Vec::new();
     for s in &storm.shards {
         assert!(

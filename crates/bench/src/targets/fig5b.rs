@@ -12,8 +12,9 @@
 //!   and coherence actors ([`InterconnectConfig::shared_hierarchy`]).
 //!   Adding clients adds queueing: cycles per transaction must rise
 //!   monotonically — and stay *bounded* (the per-shard in-flight cap
-//!   keeps eight clients within 10x of one; the unfair FIFO controller
-//!   this PR replaced collapsed ~16x over the 4 → 8 step alone).
+//!   keeps eight clients within 10x of one, a bound [`crate::gates`]
+//!   checks on every report; the unfair FIFO controller it replaced
+//!   collapsed ~16x over the 4 → 8 step alone).
 //! * **partitioned** — each client owns a private group sized like its
 //!   bank slice (8 DRAM / 4 NVRAM). A client's traffic never meets
 //!   another's, so the curve stays flat as clients are added — this is
@@ -25,26 +26,13 @@ use std::time::Instant;
 use ssp_simulator::config::{InterconnectConfig, MachineConfig};
 use ssp_workloads::runner::{ExecMode, RunConfig};
 
-use super::quick_mode;
 use crate::json::Json;
 use crate::{
-    attach_latency, latency_rows, print_matrix, BenchReport, CellSpec, EngineKind, MatrixRunner,
-    RunResult, Scale, SspConfig, WorkloadKind,
+    attach_latency, latency_rows, print_matrix, quick_mode, BenchReport, CellSpec, EngineKind,
+    MatrixRunner, RunResult, Scale, SspConfig, WorkloadKind,
 };
 
 const CLIENTS: [usize; 4] = [1, 2, 4, 8];
-
-/// One sweep point's measurements.
-struct Point {
-    clients: usize,
-    cycles_per_txn: u64,
-    bankq_delay: u64,
-    bankq_conflicts: u64,
-    row_hit_rate: f64,
-    port_stall: u64,
-    llc_extra_misses: u64,
-    coh_invalidations: u64,
-}
 
 fn specs_for(
     interconnect: &InterconnectConfig,
@@ -75,53 +63,42 @@ fn specs_for(
                 &run_cfg,
             )
             .sharded()
-            .per_worker_machine()
-            .per_worker_scale()
+            .per_worker()
         })
         .collect()
 }
 
-fn points(results: &[RunResult], txns_per_client: u64) -> Vec<Point> {
+/// One sweep's report points, one per client count.
+fn series(mode: &str, results: &[RunResult], txns_per_client: u64) -> Vec<Json> {
     CLIENTS
         .iter()
         .zip(results)
         .map(|(&clients, r)| {
             let rows = r.stats.bankq_row_hits + r.stats.bankq_row_misses;
-            Point {
-                clients,
-                // Wall-clock is the slowest client; each runs
-                // `txns_per_client`, so this is cycles per transaction on
-                // the contended critical path.
-                cycles_per_txn: r.elapsed_cycles / txns_per_client,
-                bankq_delay: r.stats.bankq_delay_cycles,
-                bankq_conflicts: r.stats.bankq_conflicts,
-                row_hit_rate: if rows == 0 {
-                    0.0
-                } else {
-                    r.stats.bankq_row_hits as f64 / rows as f64
-                },
-                port_stall: r.stats.bankq_stall_cycles,
-                llc_extra_misses: r.stats.llc_extra_misses,
-                coh_invalidations: r.stats.coh_cross_invalidations,
-            }
-        })
-        .collect()
-}
-
-fn json_series(mode: &str, points: &[Point]) -> Vec<Json> {
-    points
-        .iter()
-        .map(|p| {
+            let row_hit_rate = if rows == 0 {
+                0.0
+            } else {
+                r.stats.bankq_row_hits as f64 / rows as f64
+            };
             let mut obj = Json::obj();
             obj.set("mode", Json::Str(mode.to_string()));
-            obj.set("clients", Json::U64(p.clients as u64));
-            obj.set("cycles_per_txn", Json::U64(p.cycles_per_txn));
-            obj.set("bankq_delay_cycles", Json::U64(p.bankq_delay));
-            obj.set("bankq_conflicts", Json::U64(p.bankq_conflicts));
-            obj.set("row_hit_rate", Json::F64(p.row_hit_rate));
-            obj.set("port_stall_cycles", Json::U64(p.port_stall));
-            obj.set("llc_extra_misses", Json::U64(p.llc_extra_misses));
-            obj.set("coh_invalidations", Json::U64(p.coh_invalidations));
+            obj.set("clients", Json::U64(clients as u64));
+            // Wall-clock is the slowest client; each runs
+            // `txns_per_client`, so this is cycles per transaction on the
+            // contended critical path.
+            obj.set(
+                "cycles_per_txn",
+                Json::U64(r.elapsed_cycles / txns_per_client),
+            );
+            obj.set("bankq_delay_cycles", Json::U64(r.stats.bankq_delay_cycles));
+            obj.set("bankq_conflicts", Json::U64(r.stats.bankq_conflicts));
+            obj.set("row_hit_rate", Json::F64(row_hit_rate));
+            obj.set("port_stall_cycles", Json::U64(r.stats.bankq_stall_cycles));
+            obj.set("llc_extra_misses", Json::U64(r.stats.llc_extra_misses));
+            obj.set(
+                "coh_invalidations",
+                Json::U64(r.stats.coh_cross_invalidations),
+            );
             obj
         })
         .collect()
@@ -155,54 +132,34 @@ pub fn run(runner: &MatrixRunner) -> BenchReport {
         scale,
     ));
     let results = runner.run(&specs);
-    let shared = points(&results[..CLIENTS.len()], txns_per_client);
-    let partitioned = points(&results[CLIENTS.len()..], txns_per_client);
+    let shared = series("shared", &results[..CLIENTS.len()], txns_per_client);
+    let partitioned = series("partitioned", &results[CLIENTS.len()..], txns_per_client);
 
-    // The saturation gate CI's bench-smoke job rides on: fair, bounded
-    // arbitration must keep the most-contended point within an order of
-    // magnitude of the uncontended one (the old FIFO grants let it blow
-    // past 15x of the 4-client point, let alone the 1-client one).
-    assert!(
-        shared[CLIENTS.len() - 1].cycles_per_txn <= 10 * shared[0].cycles_per_txn,
-        "fig5b saturation collapse: 8-client shared point {} exceeds 10x \
-         the 1-client point {}",
-        shared[CLIENTS.len() - 1].cycles_per_txn,
-        shared[0].cycles_per_txn,
-    );
-
-    let fmt_row = |points: &[Point], f: &dyn Fn(&Point) -> String| -> Vec<String> {
-        points.iter().map(f).collect()
+    // One table row: `keys` of every point, joined with '+'.
+    let row = |label: &str, points: &[Json], keys: &[&str]| -> (String, Vec<String>) {
+        let cell = |p: &Json| -> String {
+            let value = |k: &&str| match p.get(k) {
+                Some(Json::U64(v)) => v.to_string(),
+                _ => "-".to_string(),
+            };
+            keys.iter().map(value).collect::<Vec<_>>().join("+")
+        };
+        (label.to_string(), points.iter().map(cell).collect())
     };
     print_matrix(
         "Figure 5b (contention): SSP/SPS cycles per txn vs clients",
         &["1", "2", "4", "8"],
         &[
-            (
-                "shared cyc/txn".to_string(),
-                fmt_row(&shared, &|p| p.cycles_per_txn.to_string()),
+            row("shared cyc/txn", &shared, &["cycles_per_txn"]),
+            row("shared q-delay", &shared, &["bankq_delay_cycles"]),
+            row("shared stall", &shared, &["port_stall_cycles"]),
+            row(
+                "shared llc+coh",
+                &shared,
+                &["llc_extra_misses", "coh_invalidations"],
             ),
-            (
-                "shared q-delay".to_string(),
-                fmt_row(&shared, &|p| p.bankq_delay.to_string()),
-            ),
-            (
-                "shared stall".to_string(),
-                fmt_row(&shared, &|p| p.port_stall.to_string()),
-            ),
-            (
-                "shared llc+coh".to_string(),
-                fmt_row(&shared, &|p| {
-                    format!("{}+{}", p.llc_extra_misses, p.coh_invalidations)
-                }),
-            ),
-            (
-                "part. cyc/txn".to_string(),
-                fmt_row(&partitioned, &|p| p.cycles_per_txn.to_string()),
-            ),
-            (
-                "part. q-delay".to_string(),
-                fmt_row(&partitioned, &|p| p.bankq_delay.to_string()),
-            ),
+            row("part. cyc/txn", &partitioned, &["cycles_per_txn"]),
+            row("part. q-delay", &partitioned, &["bankq_delay_cycles"]),
         ],
     );
     println!("\npaper shape: clients contending for one channel group pay a");
@@ -216,9 +173,7 @@ pub fn run(runner: &MatrixRunner) -> BenchReport {
     report.sim("engine", Json::Str("SSP".into()));
     report.sim("workload", Json::Str("SPS".into()));
     report.sim("txns_per_client", Json::U64(txns_per_client));
-    let mut series = json_series("shared", &shared);
-    series.extend(json_series("partitioned", &partitioned));
-    report.sim("series", Json::Arr(series));
+    report.sim("series", Json::Arr([shared, partitioned].concat()));
     attach_latency(
         &mut report,
         "Figure 5b: txn latency percentiles (cycles; shared sweep first)",

@@ -6,8 +6,8 @@ use std::time::Instant;
 
 use ssp_simulator::config::MachineConfig;
 
-use super::quick_mode;
 use crate::json::Json;
+use crate::quick_mode;
 use crate::{
     attach_latency, cell_json, env_setup, fmt_ratio, latency_rows, print_matrix, BenchReport,
     CellSpec, EngineKind, MatrixRunner, SspConfig, WorkloadKind,

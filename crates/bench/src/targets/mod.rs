@@ -26,13 +26,16 @@ pub mod shared_conflicts;
 pub mod table3;
 pub mod table4;
 
-/// Whether quick (CI smoke) mode is on — `SSP_BENCH_QUICK=1`.
-pub fn quick_mode() -> bool {
-    std::env::var("SSP_BENCH_QUICK").is_ok()
+/// Order-dependent fold of per-shard NVRAM fingerprints into one cell
+/// fingerprint.
+fn fold_fingerprints(shards: impl IntoIterator<Item = u64>) -> u64 {
+    shards
+        .into_iter()
+        .fold(0u64, |acc, f| acc.rotate_left(17) ^ f)
 }
 
-/// Runs every ported target against `runner` and writes each report.
-/// Returns the reports in run order.
+/// Runs every ported target against `runner` and writes each report
+/// (which checks its [`crate::gates`]). Returns the reports in run order.
 pub fn run_all(runner: &MatrixRunner) -> Vec<BenchReport> {
     let targets: [fn(&MatrixRunner) -> BenchReport; 14] = [
         fig5::run,

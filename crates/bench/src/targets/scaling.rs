@@ -24,8 +24,8 @@ use std::time::Instant;
 use ssp_simulator::config::MachineConfig;
 use ssp_workloads::runner::RunConfig;
 
-use super::quick_mode;
 use crate::json::Json;
+use crate::quick_mode;
 use crate::{
     attach_latency, env_setup, fmt_ratio, print_matrix, BenchReport, CellSpec, EngineKind,
     LatencyStats, MatrixRunner, SspConfig, WorkloadKind,

@@ -5,21 +5,24 @@
 //!
 //! 1. **Overload sweep** (SSP): arrival period × admission policy at
 //!    group size 1. Dialing the arrival rate up must push the shed rate
-//!    up *monotonically* for every policy — asserted in the target and
-//!    gated again in CI from the emitted JSON.
+//!    up *monotonically* for every policy.
 //! 2. **Group-commit sweep**: engine × group size {1, 4, 16} at a
 //!    moderate rate. Batching requests into one engine transaction must
-//!    cut journal flushes vs group size 1 (asserted for every engine
-//!    that journals at all) — the measured group-commit amortization.
+//!    cut group commits and journal flushes vs group size 1 (the latter
+//!    for every engine that journals at all) — the measured group-commit
+//!    amortization.
 //! 3. **Recovery-under-fire**: engine × a periodic storm schedule with
-//!    group commit on. Every cell must report storms > 0, a non-zero
-//!    unavailability window, zero committed-request loss, and exact
-//!    shed/served/expired conservation.
+//!    group commit on. Every cell must report storms > 0 and a non-zero
+//!    unavailability window.
 //!
-//! Every cell is run threaded twice and sequentially once; all three
-//! must match bit-for-bit (service counters, latency histograms, drain
-//! curves, NVRAM fingerprints). Everything under `sim` is integer,
-//! deterministic simulated state, exact-gated by `bench_diff`.
+//! Those family checks, and zero committed-request loss in every cell,
+//! are [`crate::gates`] checks over the emitted rows. The cells run
+//! pooled on the [`MatrixRunner`], each through [`agree`]: threaded,
+//! repeated and sequential runs must match bit-for-bit (service counters,
+//! latency histograms, drain curves, NVRAM fingerprints), and each run
+//! must conserve shed/served/expired exactly and drain its queues.
+//! Everything under `sim` is integer, deterministic simulated state,
+//! exact-gated by `bench_diff`.
 
 use std::time::Instant;
 
@@ -28,11 +31,11 @@ use ssp_workloads::service::{run_service, AdmissionPolicy, ServiceConfig, Servic
 use ssp_workloads::storm::StormSchedule;
 use ssp_workloads::{ExecMode, RunConfig};
 
-use super::quick_mode;
+use super::fold_fingerprints;
 use crate::json::Json;
 use crate::{
-    make_engine, make_workload, print_matrix, BenchReport, BoxedEngine, EngineKind, MatrixRunner,
-    Scale, SspConfig, WorkloadKind,
+    agree, make_engine, make_workload, print_matrix, quick_mode, BenchReport, BoxedEngine,
+    EngineKind, MatrixRunner, Scale, SspConfig, WorkloadKind,
 };
 
 const ENGINES: [EngineKind; 4] = [
@@ -70,9 +73,8 @@ fn policy_name(p: AdmissionPolicy) -> &'static str {
     }
 }
 
-/// One service cell, threaded twice + sequential once, all three
-/// asserted bit-identical (the determinism contract with service mode
-/// fully on).
+/// One service cell through [`agree`], plus the run-level checks the
+/// emitted JSON cannot express: exact conservation and a drained queue.
 fn service_cell(
     engine: EngineKind,
     svc: &ServiceConfig,
@@ -82,52 +84,31 @@ fn service_cell(
     let shard = MachineConfig::default().shard_slice(CLIENTS);
     let ssp_cfg = SspConfig::default();
     let scale = Scale::SMOKE.per_shard(CLIENTS);
-    let cell = |mode: ExecMode| {
-        let mut cfg = run_cfg(quick);
-        cfg.mode = mode;
-        run_service(
-            |_w| make_engine(engine, &shard, &ssp_cfg),
-            |_w| make_workload(WorkloadKind::Sps, scale),
-            &cfg,
-            svc,
-        )
-    };
-    let threaded = cell(ExecMode::Threaded);
-    let repeat = cell(ExecMode::Threaded);
-    let sequential = cell(ExecMode::Sequential);
-    for other in [&repeat, &sequential] {
-        assert_eq!(
-            threaded.result, other.result,
-            "{label}: merged counters diverged across modes/repeats"
-        );
-        assert_eq!(
-            threaded.service, other.service,
-            "{label}: service counters diverged across modes/repeats"
-        );
-        for (t, o) in threaded.shards.iter().zip(&other.shards) {
-            assert_eq!(t.service, o.service, "{label}: shard {} service", t.worker);
-            assert_eq!(t.latency, o.latency, "{label}: shard {} latency", t.worker);
-            assert_eq!(t.curve, o.curve, "{label}: shard {} drain curve", t.worker);
-            assert_eq!(
-                t.fingerprint, o.fingerprint,
-                "{label}: shard {} fingerprint",
-                t.worker
-            );
-        }
-    }
-    let s = threaded.service;
+    let run = agree(
+        label,
+        |mode| {
+            let mut cfg = run_cfg(quick);
+            cfg.mode = mode;
+            run_service(
+                |_w| make_engine(engine, &shard, &ssp_cfg),
+                |_w| make_workload(WorkloadKind::Sps, scale),
+                &cfg,
+                svc,
+            )
+        },
+        |r| {
+            let shards: Vec<_> = r
+                .shards
+                .iter()
+                .map(|s| (s.service, s.latency.clone(), s.curve.clone(), s.fingerprint))
+                .collect();
+            (r.result.clone(), r.service, shards)
+        },
+    );
+    let s = run.service;
     assert!(s.conserves(), "{label}: accounting must conserve: {s:?}");
     assert_eq!(s.in_queue, 0, "{label}: the run must drain: {s:?}");
-    assert_eq!(s.lost, 0, "{label}: committed requests lost: {s:?}");
-    threaded
-}
-
-/// Order-dependent fold of the shard fingerprints.
-fn combined_fingerprint(run: &ServiceRun<BoxedEngine>) -> u64 {
-    run.shards
-        .iter()
-        .map(|s| s.fingerprint)
-        .fold(0u64, |acc, f| acc.rotate_left(17) ^ f)
+    run
 }
 
 fn cell_json(
@@ -173,28 +154,27 @@ fn cell_json(
         "p99_sojourn",
         Json::U64(run.result.latency.txn.percentile(99)),
     );
-    sim.set("fingerprint", Json::U64(combined_fingerprint(run)));
+    sim.set(
+        "fingerprint",
+        Json::U64(fold_fingerprints(run.shards.iter().map(|s| s.fingerprint))),
+    );
     sim
 }
 
 /// Runs the target and returns its report.
-pub fn run(_runner: &MatrixRunner) -> BenchReport {
+pub fn run(runner: &MatrixRunner) -> BenchReport {
     let t0 = Instant::now();
     let quick = quick_mode();
 
-    let mut rows = Vec::new();
-    let mut sim_rows = Vec::new();
-
-    // Family 1: overload sweep (SSP), arrival period × admission policy.
-    let policies = [
+    let mut cells = Vec::new();
+    // Family 1: overload sweep (SSP), arrival period × admission policy,
+    // cold to hot, so monotonicity reads as "shed rate never drops as the
+    // rate dials up".
+    for policy in [
         AdmissionPolicy::DropTail,
         AdmissionPolicy::DeadlineShed,
         AdmissionPolicy::Backpressure { threshold: 16 },
-    ];
-    for policy in policies {
-        let mut prev_shed_bp: Option<u64> = None;
-        // Cold to hot, so monotonicity reads as "shed rate never drops
-        // as the rate dials up".
+    ] {
         for &period in OVERLOAD_PERIODS.iter().rev() {
             let svc = ServiceConfig {
                 period_cycles: period,
@@ -204,87 +184,21 @@ pub fn run(_runner: &MatrixRunner) -> BenchReport {
                 deadline_cycles: 20_000,
                 ..ServiceConfig::default()
             };
-            let label = format!("overload {} p{period}", policy_name(policy));
-            let run = service_cell(EngineKind::Ssp, &svc, quick, &label);
-            let s = run.service;
-            if let Some(prev) = prev_shed_bp {
-                assert!(
-                    s.shed_rate_bp() >= prev,
-                    "{label}: shed rate must be monotone in arrival rate \
-                     ({} bp after {} bp)",
-                    s.shed_rate_bp(),
-                    prev
-                );
-            }
-            prev_shed_bp = Some(s.shed_rate_bp());
-            rows.push((
-                format!("{} p{period}", policy_name(policy)),
-                vec![
-                    format!("{}", s.arrivals),
-                    format!("{}", s.served),
-                    format!("{}", s.shed),
-                    format!("{}", s.expired),
-                    format!("{:.1}%", s.shed_rate_bp() as f64 / 100.0),
-                    format!("{}", s.queue_peak),
-                ],
-            ));
-            sim_rows.push(cell_json("overload", EngineKind::Ssp, &svc, &run));
+            let name = format!("{} p{period}", policy_name(policy));
+            cells.push(("overload", EngineKind::Ssp, svc, name));
         }
-        // The hottest cell must actually overload the front end.
-        assert!(
-            prev_shed_bp.unwrap_or(0) > 0,
-            "{}: the hottest period must shed",
-            policy_name(policy)
-        );
     }
-
     // Family 2: group-commit sweep, engine × group size.
     for engine in ENGINES {
-        let mut journal_at_g1 = 0u64;
-        let mut groups_at_g1 = 0u64;
         for group in GROUP_SIZES {
             let svc = ServiceConfig {
                 period_cycles: 600,
                 group,
                 ..ServiceConfig::default()
             };
-            let label = format!("group {} g{group}", engine.name());
-            let run = service_cell(engine, &svc, quick, &label);
-            let s = run.service;
-            let journal = run.result.logging_writes();
-            if group == 1 {
-                journal_at_g1 = journal;
-                groups_at_g1 = s.groups;
-            } else {
-                assert!(
-                    s.groups < groups_at_g1,
-                    "{label}: batching must issue fewer group commits \
-                     ({} vs {groups_at_g1})",
-                    s.groups
-                );
-                if journal_at_g1 > 0 {
-                    assert!(
-                        journal < journal_at_g1,
-                        "{label}: group commit must amortize journal flushes \
-                         ({journal} vs {journal_at_g1})"
-                    );
-                }
-            }
-            rows.push((
-                format!("{} g{group}", engine.name()),
-                vec![
-                    format!("{}", s.arrivals),
-                    format!("{}", s.served),
-                    format!("{}", s.groups),
-                    format!("{journal}"),
-                    format!("{}", run.result.stats.nvram_writes_total()),
-                    format!("{}", run.result.elapsed_cycles / s.served.max(1)),
-                ],
-            ));
-            sim_rows.push(cell_json("group", engine, &svc, &run));
+            cells.push(("group", engine, svc, format!("{} g{group}", engine.name())));
         }
     }
-
     // Family 3: recovery-under-fire, engine × periodic storms with group
     // commit on.
     for engine in ENGINES {
@@ -294,27 +208,43 @@ pub fn run(_runner: &MatrixRunner) -> BenchReport {
             storm: Some(StormSchedule::every_cycles(40_000)),
             ..ServiceConfig::default()
         };
-        let label = format!("recovery {}", engine.name());
-        let run = service_cell(engine, &svc, quick, &label);
-        let s = run.service;
-        assert!(s.storms > 0, "{label}: no storm tripped: {s:?}");
-        assert!(
-            s.unavailability_cycles > 0,
-            "{label}: recovery must report a non-zero unavailability window: {s:?}"
-        );
-        rows.push((
-            format!("{} storm", engine.name()),
-            vec![
-                format!("{}", s.storms),
-                format!("{}", s.served),
-                format!("{}", s.shed + s.expired),
-                format!("{}", s.retried),
-                format!("{}", s.lost),
-                format!("{}", s.unavailability_cycles),
-            ],
-        ));
-        sim_rows.push(cell_json("recovery", engine, &svc, &run));
+        cells.push(("recovery", engine, svc, format!("{} storm", engine.name())));
     }
+
+    let (rows, sim_rows): (Vec<_>, Vec<_>) = runner
+        .map(&cells, |(family, engine, svc, name)| {
+            let run = service_cell(*engine, svc, quick, &format!("{family} {name}"));
+            let (s, r) = (run.service, &run.result);
+            let row = match *family {
+                "overload" => vec![
+                    format!("{}", s.arrivals),
+                    format!("{}", s.served),
+                    format!("{}", s.shed),
+                    format!("{}", s.expired),
+                    format!("{:.1}%", s.shed_rate_bp() as f64 / 100.0),
+                    format!("{}", s.queue_peak),
+                ],
+                "group" => vec![
+                    format!("{}", s.arrivals),
+                    format!("{}", s.served),
+                    format!("{}", s.groups),
+                    format!("{}", r.logging_writes()),
+                    format!("{}", r.stats.nvram_writes_total()),
+                    format!("{}", r.elapsed_cycles / s.served.max(1)),
+                ],
+                _ => vec![
+                    format!("{}", s.storms),
+                    format!("{}", s.served),
+                    format!("{}", s.shed + s.expired),
+                    format!("{}", s.retried),
+                    format!("{}", s.lost),
+                    format!("{}", s.unavailability_cycles),
+                ],
+            };
+            ((name.clone(), row), cell_json(family, *engine, svc, &run))
+        })
+        .into_iter()
+        .unzip();
 
     print_matrix(
         "Service overload (SPS): family cells",
@@ -330,7 +260,7 @@ pub fn run(_runner: &MatrixRunner) -> BenchReport {
     );
     println!("\nevery cell is run threaded twice and sequentially once; all three");
     println!("must match bit-for-bit including shed counts, drain curves and");
-    println!("fingerprints; shed rate is asserted monotone in arrival rate, group");
+    println!("fingerprints; shed rate is gated monotone in arrival rate, group");
     println!("commit must cut journal flushes, and storms must lose nothing");
 
     let mut report = BenchReport::new("service_overload", quick);

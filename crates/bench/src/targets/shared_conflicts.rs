@@ -10,23 +10,25 @@
 //! records, per cell, the committed throughput and the OCC outcome
 //! counters.
 //!
-//! Three properties are asserted *in the target*, so CI fails loudly
-//! rather than baking a bad number into a baseline:
+//! A second family repeats the sweep under the paper's 80/15 hot-spot
+//! skew. [`crate::gates`] checks the report when it is written, so CI
+//! fails loudly rather than baking a bad number into a baseline:
 //!
 //! 1. **No false conflicts** — at dial 0 the working sets are
 //!    line-disjoint by construction and the abort count must be exactly
 //!    zero at every client count.
 //! 2. **Real conflicts** — at the high-dial, 8-client corner the abort
-//!    count must be nonzero (the validator actually fires).
+//!    count must be nonzero (the validator actually fires), under both
+//!    distributions, and the abort rate never falls as clients are added.
 //! 3. **Bounded shared-mode overhead** — at dial 0 the shared driver's
 //!    cycles/txn must stay within 1.5× of the partitioned
 //!    (`run_parallel`) driver on the *same* workload: speculation +
 //!    epoch validation may not silently wreck the uncontended path.
 //!
-//! Every cell is additionally run threaded twice and sequentially once
-//! and all three must match bit-for-bit (the shared-heap determinism
-//! contract). Everything under `sim` is integer, deterministic
-//! simulated state, exact-gated by `bench_diff`.
+//! The cells run pooled on the [`MatrixRunner`], each through [`agree`]:
+//! threaded, repeated and sequential runs must match bit-for-bit (the
+//! shared-heap determinism contract). Everything under `sim` is integer,
+//! deterministic simulated state, exact-gated by `bench_diff`.
 
 use std::time::Instant;
 
@@ -39,9 +41,9 @@ use ssp_workloads::dist::KeyDist;
 use ssp_workloads::runner::{run_parallel, ExecMode, RunConfig};
 use ssp_workloads::shared::{run_shared, SharedHeapConfig, SharedRun};
 
-use super::quick_mode;
+use super::fold_fingerprints;
 use crate::json::Json;
-use crate::{print_matrix, BenchReport, MatrixRunner};
+use crate::{agree, print_matrix, quick_mode, BenchReport, MatrixRunner};
 
 /// Clients sweeping the x-axis (mirrors the paper's multi-client
 /// figures).
@@ -64,34 +66,20 @@ fn run_cfg(threads: usize, quick: bool) -> RunConfig {
     }
 }
 
-/// Key distribution over the shared region for one sweep family.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SweepDist {
-    Uniform,
-    /// The paper's skew: 80% of shared-region accesses hit 15% of keys.
-    PaperZipf,
-}
-
-impl SweepDist {
-    fn key_dist(self) -> KeyDist {
-        match self {
-            SweepDist::Uniform => KeyDist::uniform(SHARED_ELEMS),
-            SweepDist::PaperZipf => KeyDist::paper_zipf(SHARED_ELEMS),
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            SweepDist::Uniform => "uniform",
-            SweepDist::PaperZipf => "paper_zipf",
-        }
+/// Key distribution over the shared region: uniform, or the paper's skew
+/// (80% of shared-region accesses hit 15% of keys).
+fn shared_keys(zipf: bool) -> KeyDist {
+    if zipf {
+        KeyDist::paper_zipf(SHARED_ELEMS)
+    } else {
+        KeyDist::uniform(SHARED_ELEMS)
     }
 }
 
 fn shared_cell(
     clients: usize,
     dial_bp: u64,
-    dist: SweepDist,
+    zipf: bool,
     mode: ExecMode,
     quick: bool,
 ) -> SharedRun<Ssp> {
@@ -108,7 +96,7 @@ fn shared_cell(
                 clients,
                 w,
                 dial,
-                dist.key_dist(),
+                shared_keys(zipf),
             )
         },
         &cfg,
@@ -130,82 +118,47 @@ fn partitioned_cell(clients: usize, quick: bool) -> u64 {
     run.result.elapsed_cycles / run.result.txns.max(1)
 }
 
-/// XOR-fold of the per-shard committed NVRAM fingerprints
-/// (crash + recover first, like the equivalence suite).
-fn combined_fingerprint(run: &mut SharedRun<Ssp>) -> u64 {
-    run.shards
-        .iter_mut()
-        .map(|s| {
-            s.engine.crash_and_recover();
-            s.engine.machine().nvram_fingerprint()
-        })
-        .fold(0u64, |acc, f| acc.rotate_left(17) ^ f)
-}
-
 /// Runs the target and returns its report.
-pub fn run(_runner: &MatrixRunner) -> BenchReport {
+pub fn run(runner: &MatrixRunner) -> BenchReport {
     let t0 = Instant::now();
     let quick = quick_mode();
 
-    let mut rows = Vec::new();
-    let mut sim_rows = Vec::new();
-    let mut high_dial_aborts = 0u64;
-    for clients in CLIENTS {
-        let partitioned_cpt = partitioned_cell(clients, quick);
-        for dial_bp in DIALS_BP {
-            let dist = SweepDist::Uniform;
-            let mut threaded = shared_cell(clients, dial_bp, dist, ExecMode::Threaded, quick);
-            let repeat = shared_cell(clients, dial_bp, dist, ExecMode::Threaded, quick);
-            let sequential = shared_cell(clients, dial_bp, dist, ExecMode::Sequential, quick);
-            assert_eq!(
-                threaded.result, repeat.result,
-                "x{clients} d{dial_bp}: threaded repeat drifted"
-            );
-            assert_eq!(
-                threaded.shared, repeat.shared,
-                "x{clients} d{dial_bp}: threaded repeat OCC counters drifted"
-            );
-            assert_eq!(
-                threaded.result, sequential.result,
-                "x{clients} d{dial_bp}: threaded vs sequential diverged"
-            );
-            assert_eq!(
-                threaded.shared, sequential.shared,
-                "x{clients} d{dial_bp}: threaded vs sequential OCC counters diverged"
-            );
-
-            let s = threaded.shared;
-            assert_eq!(
-                s.committed, threaded.result.txns,
-                "x{clients} d{dial_bp}: committed != requested"
-            );
-            if dial_bp == 0 {
-                assert_eq!(
-                    s.aborted, 0,
-                    "x{clients} d0: partitioned working sets may never abort"
-                );
+    let partitioned = runner.map(&CLIENTS, |&clients| partitioned_cell(clients, quick));
+    // The uniform family, then the skewed one at nonzero dials only (dial
+    // 0 never touches the shared region, so skew is moot there). Skewed
+    // rows come after the uniform ones and carry a `dist` key instead of
+    // the partitioned reference.
+    let mut cells = Vec::new();
+    for zipf in [false, true] {
+        for (ci, clients) in CLIENTS.into_iter().enumerate() {
+            for dial_bp in DIALS_BP {
+                if !zipf || dial_bp > 0 {
+                    cells.push((zipf, ci, clients, dial_bp));
+                }
             }
-            if dial_bp == *DIALS_BP.last().unwrap() && clients == *CLIENTS.last().unwrap() {
-                high_dial_aborts = s.aborted;
-            }
-
-            let txns = threaded.result.txns.max(1);
-            let cycles_per_txn = threaded.result.elapsed_cycles / txns;
-            if dial_bp == 0 && clients > 1 {
-                assert!(
-                    cycles_per_txn <= partitioned_cpt + partitioned_cpt / 2,
-                    "x{clients} d0: shared-mode overhead blew past 1.5x the \
-                     partitioned driver ({cycles_per_txn} vs {partitioned_cpt} cycles/txn)"
-                );
-            }
+        }
+    }
+    let (rows, sim_rows): (Vec<_>, Vec<_>) = runner
+        .map(&cells, |&(zipf, ci, clients, dial_bp)| {
+            let suffix = if zipf { " zipf" } else { "" };
+            let mut run = agree(
+                &format!("x{clients} d{dial_bp}{suffix}"),
+                |mode| shared_cell(clients, dial_bp, zipf, mode, quick),
+                |r| (r.result.clone(), r.shared),
+            );
+            let s = run.shared;
+            let cycles_per_txn = run.result.elapsed_cycles / run.result.txns.max(1);
             // Basis points of validated intents that aborted: integer,
-            // exact, and scale-free for the CI gate.
+            // exact, and scale-free for the gate.
             let abort_rate_bp = (s.aborted * 10_000).checked_div(s.validated).unwrap_or(0);
-            let tps_milli = (threaded.result.tps * 1_000.0) as u64;
-            let fingerprint = combined_fingerprint(&mut threaded);
-
-            rows.push((
-                format!("x{clients} dial {:.2}", dial_bp as f64 / 10_000.0),
+            // Committed NVRAM state only: crash + recover each shard first,
+            // like the equivalence suite.
+            let fingerprint = fold_fingerprints(run.shards.iter_mut().map(|s| {
+                s.engine.crash_and_recover();
+                s.engine.machine().nvram_fingerprint()
+            }));
+            let row = (
+                format!("x{clients} dial {:.2}{suffix}", dial_bp as f64 / 10_000.0),
                 vec![
                     format!("{}", s.committed),
                     format!("{}", s.aborted),
@@ -214,93 +167,14 @@ pub fn run(_runner: &MatrixRunner) -> BenchReport {
                     format!("{}", s.max_attempt),
                     format!("{cycles_per_txn}"),
                 ],
-            ));
+            );
             let mut sim = Json::obj();
             sim.set("clients", Json::U64(clients as u64));
             sim.set("conflict_bp", Json::U64(dial_bp));
-            sim.set("txns", Json::U64(threaded.result.txns));
-            sim.set("committed", Json::U64(s.committed));
-            sim.set("aborted", Json::U64(s.aborted));
-            sim.set("validated", Json::U64(s.validated));
-            sim.set("conflicts", Json::U64(s.conflicts));
-            sim.set("cascades", Json::U64(s.cascades));
-            sim.set("retries", Json::U64(s.retries));
-            sim.set("backoff_cycles", Json::U64(s.backoff_cycles));
-            sim.set("max_attempt", Json::U64(s.max_attempt));
-            sim.set("abort_rate_bp", Json::U64(abort_rate_bp));
-            sim.set("elapsed_cycles", Json::U64(threaded.result.elapsed_cycles));
-            sim.set("cycles_per_txn", Json::U64(cycles_per_txn));
-            sim.set("tps_milli", Json::U64(tps_milli));
-            sim.set("partitioned_cycles_per_txn", Json::U64(partitioned_cpt));
-            sim.set("fingerprint", Json::U64(fingerprint));
-            sim_rows.push(sim);
-        }
-    }
-    assert!(
-        high_dial_aborts > 0,
-        "8 clients at dial 0.9 must produce real conflicts"
-    );
-
-    // The skewed family (PR-9 follow-up): the same clients × dial sweep
-    // under the paper's 80/15 hot-spot distribution, nonzero dials only
-    // (dial 0 never touches the shared region, so skew is moot there).
-    // Rows are appended after the uniform family so the pre-existing
-    // cells keep their exact JSON shape and values.
-    let mut zipf_high_corner_aborts = 0u64;
-    for clients in CLIENTS {
-        for dial_bp in DIALS_BP.iter().copied().filter(|&d| d > 0) {
-            let dist = SweepDist::PaperZipf;
-            let mut threaded = shared_cell(clients, dial_bp, dist, ExecMode::Threaded, quick);
-            let repeat = shared_cell(clients, dial_bp, dist, ExecMode::Threaded, quick);
-            let sequential = shared_cell(clients, dial_bp, dist, ExecMode::Sequential, quick);
-            assert_eq!(
-                threaded.result, repeat.result,
-                "zipf x{clients} d{dial_bp}: threaded repeat drifted"
-            );
-            assert_eq!(
-                threaded.shared, repeat.shared,
-                "zipf x{clients} d{dial_bp}: threaded repeat OCC counters drifted"
-            );
-            assert_eq!(
-                threaded.result, sequential.result,
-                "zipf x{clients} d{dial_bp}: threaded vs sequential diverged"
-            );
-            assert_eq!(
-                threaded.shared, sequential.shared,
-                "zipf x{clients} d{dial_bp}: threaded vs sequential OCC counters diverged"
-            );
-
-            let s = threaded.shared;
-            assert_eq!(
-                s.committed, threaded.result.txns,
-                "zipf x{clients} d{dial_bp}: committed != requested"
-            );
-            if dial_bp == *DIALS_BP.last().unwrap() && clients == *CLIENTS.last().unwrap() {
-                zipf_high_corner_aborts = s.aborted;
+            if zipf {
+                sim.set("dist", Json::Str("paper_zipf".to_string()));
             }
-
-            let txns = threaded.result.txns.max(1);
-            let cycles_per_txn = threaded.result.elapsed_cycles / txns;
-            let abort_rate_bp = (s.aborted * 10_000).checked_div(s.validated).unwrap_or(0);
-            let tps_milli = (threaded.result.tps * 1_000.0) as u64;
-            let fingerprint = combined_fingerprint(&mut threaded);
-
-            rows.push((
-                format!("x{clients} dial {:.2} zipf", dial_bp as f64 / 10_000.0),
-                vec![
-                    format!("{}", s.committed),
-                    format!("{}", s.aborted),
-                    format!("{:.1}%", abort_rate_bp as f64 / 100.0),
-                    format!("{}", s.retries),
-                    format!("{}", s.max_attempt),
-                    format!("{cycles_per_txn}"),
-                ],
-            ));
-            let mut sim = Json::obj();
-            sim.set("clients", Json::U64(clients as u64));
-            sim.set("conflict_bp", Json::U64(dial_bp));
-            sim.set("dist", Json::Str(dist.name().to_string()));
-            sim.set("txns", Json::U64(threaded.result.txns));
+            sim.set("txns", Json::U64(run.result.txns));
             sim.set("committed", Json::U64(s.committed));
             sim.set("aborted", Json::U64(s.aborted));
             sim.set("validated", Json::U64(s.validated));
@@ -310,17 +184,17 @@ pub fn run(_runner: &MatrixRunner) -> BenchReport {
             sim.set("backoff_cycles", Json::U64(s.backoff_cycles));
             sim.set("max_attempt", Json::U64(s.max_attempt));
             sim.set("abort_rate_bp", Json::U64(abort_rate_bp));
-            sim.set("elapsed_cycles", Json::U64(threaded.result.elapsed_cycles));
+            sim.set("elapsed_cycles", Json::U64(run.result.elapsed_cycles));
             sim.set("cycles_per_txn", Json::U64(cycles_per_txn));
-            sim.set("tps_milli", Json::U64(tps_milli));
+            sim.set("tps_milli", Json::U64((run.result.tps * 1_000.0) as u64));
+            if !zipf {
+                sim.set("partitioned_cycles_per_txn", Json::U64(partitioned[ci]));
+            }
             sim.set("fingerprint", Json::U64(fingerprint));
-            sim_rows.push(sim);
-        }
-    }
-    assert!(
-        zipf_high_corner_aborts > 0,
-        "8 clients at dial 0.9 under the 80/15 skew must produce real conflicts"
-    );
+            (row, sim)
+        })
+        .into_iter()
+        .unzip();
 
     print_matrix(
         "Shared-heap conflicts (ConflictSPS, SSP): clients x dial",

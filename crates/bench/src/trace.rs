@@ -134,7 +134,9 @@ pub const TRACE_CLIENTS: usize = 4;
 /// enabled, and writes the shard timelines to `path` as Chrome trace JSON.
 ///
 /// The run is deterministic (fixed seed, virtual-time stamps), so the
-/// exported trace is bit-identical across hosts and repeats.
+/// exported trace is bit-identical across hosts and repeats. The written
+/// file is parsed back; an error is returned unless its `traceEvents` hold
+/// at least one complete (`"ph": "X"`) transaction span.
 pub fn write_shared_sweep_trace(path: &Path) -> std::io::Result<PathBuf> {
     let mut client_cfg = MachineConfig::default().shard_slice(8);
     client_cfg.interconnect = InterconnectConfig::shared_hierarchy();
@@ -164,10 +166,9 @@ pub fn write_shared_sweep_trace(path: &Path) -> std::io::Result<PathBuf> {
         seed: 0x55d0_2019,
         mode: ExecMode::Threaded,
     };
-    let proto = make_workload(WorkloadKind::Sps, scale);
     let run = run_parallel(
         |w| make_engine(EngineKind::Ssp, &cfgs[w], &ssp_cfg),
-        |_w| proto.clone(),
+        |_w| make_workload(WorkloadKind::Sps, scale),
         &run_cfg,
     );
     let rings: Vec<&ObsRing> = run
@@ -175,9 +176,32 @@ pub fn write_shared_sweep_trace(path: &Path) -> std::io::Result<PathBuf> {
         .iter()
         .map(|s| s.engine.machine().obs())
         .collect();
-    let doc = chrome_trace(&rings);
-    std::fs::write(path, doc.render())?;
+    std::fs::write(path, chrome_trace(&rings).render())?;
+    let spans = count_trace_spans(path)?;
+    println!("chrome trace: {spans} transaction spans");
     Ok(path.to_path_buf())
+}
+
+/// Parses the trace file at `path` back and counts its complete (`"ph":
+/// "X"`) transaction spans; an unparsable file or one without any span is
+/// an `InvalidData` error.
+fn count_trace_spans(path: &Path) -> std::io::Result<usize> {
+    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+    let doc = Json::parse(&std::fs::read_to_string(path)?).map_err(invalid)?;
+    let spans = match doc.get("traceEvents") {
+        Some(Json::Arr(events)) => events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .count(),
+        _ => 0,
+    };
+    if spans == 0 {
+        return Err(invalid(format!(
+            "{}: no complete (X) transaction events",
+            path.display()
+        )));
+    }
+    Ok(spans)
 }
 
 #[cfg(test)]
@@ -240,5 +264,21 @@ mod tests {
         // The document round-trips through the JSON parser.
         let parsed = Json::parse(&doc.render()).expect("valid JSON");
         assert_eq!(parsed, doc);
+    }
+
+    #[test]
+    fn written_traces_must_hold_transaction_spans() {
+        let path =
+            std::env::temp_dir().join(format!("ssp_trace_check_{}.json", std::process::id()));
+        let with_txn = ring_with(&[(100, ObsKind::TxnBegin, 7), (150, ObsKind::Commit, 7)]);
+        std::fs::write(&path, chrome_trace(&[&with_txn]).render()).unwrap();
+        assert_eq!(count_trace_spans(&path).unwrap(), 1);
+        let markers_only = ring_with(&[(300, ObsKind::EpochMerge, 42)]);
+        std::fs::write(&path, chrome_trace(&[&markers_only]).render()).unwrap();
+        let err = count_trace_spans(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        std::fs::write(&path, "{ not json").unwrap();
+        assert!(count_trace_spans(&path).is_err());
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -5,10 +5,12 @@
 //! The same discipline `tests/threaded_equivalence.rs` applies to shards
 //! within one cell, lifted to whole cells within one matrix.
 
-use ssp_bench::{CellSpec, EngineKind, MatrixRunner, Scale, SspConfig, WorkloadKind};
+use ssp_bench::{
+    make_engine, make_workload, CellSpec, EngineKind, MatrixRunner, Scale, SspConfig, WorkloadKind,
+};
 use ssp_simulator::config::MachineConfig;
 use ssp_txn::engine::TxnEngine;
-use ssp_workloads::runner::{ExecMode, RunConfig, RunResult};
+use ssp_workloads::runner::{run, run_parallel, ExecMode, RunConfig, RunResult};
 
 fn run_cfg(threads: usize, mode: ExecMode) -> RunConfig {
     RunConfig {
@@ -154,10 +156,40 @@ fn warm_restored_engines_match_cold_engines_bitwise() {
     }
 }
 
+/// An auto-routed cell driven straight through the `ssp-workloads`
+/// drivers, bypassing `MatrixRunner`: `threads > 1` or an enabled
+/// interconnect runs the sharded driver over per-worker machine slices and
+/// per-shard scales, anything else the single-machine driver.
+fn direct_driver_call(spec: &CellSpec) -> RunResult {
+    let rc = &spec.run_cfg;
+    if rc.threads > 1 || spec.cfg.interconnect.enabled {
+        let scale = if rc.threads > 1 {
+            spec.scale.per_shard(rc.threads)
+        } else {
+            spec.scale
+        };
+        let cfgs: Vec<MachineConfig> = (0..rc.threads)
+            .map(|w| spec.cfg.shard_slice_for(rc.threads, w))
+            .collect();
+        return run_parallel(
+            |w| make_engine(spec.engine, &cfgs[w], &spec.ssp_cfg),
+            |_w| make_workload(spec.workload, scale),
+            rc,
+        )
+        .result;
+    }
+    let mut engine = make_engine(spec.engine, &spec.cfg, &spec.ssp_cfg);
+    run(
+        &mut engine,
+        make_workload(spec.workload, spec.scale).as_mut(),
+        rc,
+    )
+}
+
 #[test]
 fn matrix_cells_match_direct_driver_calls() {
-    // The runner's routing must reproduce `run_cell` (the pre-matrix API)
-    // exactly for auto-routed cells — the figures may not shift.
+    // The runner's routing must reproduce direct driver calls exactly for
+    // auto-routed cells — the figures may not shift.
     let cfg = MachineConfig::default().with_cores(2);
     let ssp = SspConfig::default();
     let mut specs = Vec::new();
@@ -175,14 +207,7 @@ fn matrix_cells_match_direct_driver_calls() {
     }
     let results = MatrixRunner::with_pool(2).run(&specs);
     for (spec, got) in specs.iter().zip(&results) {
-        let direct = ssp_bench::run_cell(
-            spec.engine,
-            spec.workload,
-            &spec.cfg,
-            &spec.ssp_cfg,
-            spec.scale,
-            &spec.run_cfg,
-        );
+        let direct = direct_driver_call(spec);
         assert_eq!(got, &direct, "{:?}/{:?}", spec.engine, spec.workload);
     }
 }

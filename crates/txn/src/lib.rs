@@ -11,7 +11,8 @@
 //! * [`heap`] — a persistent allocator whose metadata is updated
 //!   transactionally, so allocations roll back with their transaction.
 //! * [`view`] — typed field accessors for hand-laid-out persistent nodes.
-//! * [`history`] — the byte-level oracle used by crash-consistency tests.
+//! * [`history`] — the masked-cache-line oracle used by crash-consistency
+//!   tests.
 //! * [`occ`] — optimistic concurrency over one shared versioned heap:
 //!   CoW page versions, speculative read/write sets, commit intents, and
 //!   the deterministic first-committer-wins epoch validator.

@@ -166,6 +166,21 @@ impl LineWrite {
         self.mask |= other.mask;
     }
 
+    /// The maximal runs of masked bytes in ascending order, each as its
+    /// start address and bytes.
+    pub fn runs(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+        let mut mask = self.mask;
+        std::iter::from_fn(move || {
+            if mask == 0 {
+                return None;
+            }
+            let lo = mask.trailing_zeros() as usize;
+            let len = (mask >> lo).trailing_ones() as usize;
+            mask &= !((u64::MAX >> (64 - len)) << lo);
+            Some((self.line + lo as u64, &self.data[lo..lo + len]))
+        })
+    }
+
     /// Applies this line's masked bytes over `buf` where it overlaps
     /// `[addr, addr + buf.len())`.
     pub fn apply_to(&self, addr: VirtAddr, buf: &mut [u8]) {
@@ -209,11 +224,10 @@ impl SpecTxn {
     pub fn buffer_store(&mut self, addr: VirtAddr, data: &[u8]) {
         for span in line_spans(addr, data.len()) {
             let line = span.addr.line_base().raw();
-            let buf = self.writes.entry(line).or_insert_with(|| {
-                let mut w = LineWrite::empty(line);
-                w.line = line;
-                w
-            });
+            let buf = self
+                .writes
+                .entry(line)
+                .or_insert_with(|| LineWrite::empty(line));
             let off = span.addr.line_offset();
             for i in 0..span.len {
                 buf.data[off + i] = data[span.buf_offset + i];
@@ -237,10 +251,19 @@ impl SpecTxn {
         !self.writes.is_empty()
     }
 
+    /// Drains the write buffer into masked lines sorted by line base,
+    /// keeping the map's capacity for the next transaction. Sorting here
+    /// is the determinism contract's usual "order hash state before it
+    /// leaves the worker" step.
+    pub fn take_writes(&mut self) -> Vec<LineWrite> {
+        let mut writes: Vec<LineWrite> = self.writes.drain().map(|(_, w)| w).collect();
+        writes.sort_unstable_by_key(|w| w.line);
+        writes
+    }
+
     /// Drains the sets into a sorted [`CommitIntent`] stamped with the
     /// caller's metadata, keeping the hash-set capacity for the next
-    /// transaction. Sorting here is the determinism contract's usual
-    /// "order hash state before it leaves the worker" step.
+    /// transaction.
     #[allow(clippy::too_many_arguments)]
     pub fn take_intent(
         &mut self,
@@ -253,8 +276,6 @@ impl SpecTxn {
     ) -> CommitIntent {
         let mut reads: Vec<u64> = self.reads.drain().collect();
         reads.sort_unstable();
-        let mut writes: Vec<LineWrite> = self.writes.drain().map(|(_, w)| w).collect();
-        writes.sort_unstable_by_key(|w| w.line);
         CommitIntent {
             time,
             worker,
@@ -263,7 +284,7 @@ impl SpecTxn {
             snapshot_seq,
             exec_cycles,
             reads,
-            writes,
+            writes: self.take_writes(),
         }
     }
 }

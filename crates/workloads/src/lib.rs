@@ -60,5 +60,5 @@ pub use shared::{
     SharedShardRun, SharedStats,
 };
 pub use sps::Sps;
-pub use storm::{run_storm, OracleEngine, StormPoint, StormRun, StormSchedule, StormShardReport};
+pub use storm::{run_storm, StormPoint, StormRun, StormSchedule, StormShardReport};
 pub use vacation::VacationWorkload;

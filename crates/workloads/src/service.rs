@@ -32,7 +32,7 @@
 //! * **Recovery-under-fire**: an optional [`StormSchedule`] arms power
 //!   cuts exactly like the crash-storm driver. A cut tears the whole
 //!   in-flight group (group commit is all-or-nothing — the engines'
-//!   commit guarantee), resolved against dual byte-oracle candidates
+//!   commit guarantee), resolved against the oracle's two candidates
 //!   (group dropped vs group kept). Arrivals keep accruing while
 //!   recovery replays, so the backlog is shed/served by the normal
 //!   admission path afterwards; the recovery time is reported as the
@@ -396,11 +396,7 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
             elapsed_accum: 0,
             seg_base: 0,
             est_service: EST_SERVICE_INIT,
-            storm: svc.storm.clone().unwrap_or(StormSchedule {
-                points: Vec::new(),
-                crash_during_recovery: false,
-                rearm: false,
-            }),
+            storm: svc.storm.clone().unwrap_or_default(),
             next_point: 0,
             base: MeasureBase::default(),
             w,
@@ -587,7 +583,6 @@ impl<E: TxnEngine, W: Workload> ServiceWorker<E, W> {
         if self.engine.machine().power_lost() {
             self.storm_dance(batch);
         } else {
-            self.engine.oracle_mut().on_commit(SHARD_CORE);
             let done_now = self.now();
             self.lat.commit.record(c2 - c1);
             for (req, exec) in batch.iter().zip(exec_cycles) {

@@ -55,7 +55,7 @@ use std::time::Duration;
 use fxhash::FxHashMap;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use ssp_simulator::addr::{VirtAddr, Vpn, LINE_SIZE};
+use ssp_simulator::addr::{VirtAddr, Vpn};
 use ssp_simulator::cache::CoreId;
 use ssp_simulator::fault::{CrashPoint, FaultSite};
 use ssp_simulator::machine::Machine;
@@ -521,8 +521,6 @@ impl<E: TxnEngine, W: Workload> SharedWorker<E, W> {
                         CutVerdict::Lost => self.cuts.lost += 1,
                     }
                     cut = true;
-                } else {
-                    self.engine.oracle_mut().on_commit(SHARD_CORE);
                 }
                 continue;
             }
@@ -676,23 +674,8 @@ where
 }
 
 fn replay_stores<E: TxnEngine>(engine: &mut E, intent: &CommitIntent) {
-    for lw in &intent.writes {
-        let mut i = 0;
-        while i < LINE_SIZE {
-            if lw.mask & (1u64 << i) == 0 {
-                i += 1;
-                continue;
-            }
-            let start = i;
-            while i < LINE_SIZE && lw.mask & (1u64 << i) != 0 {
-                i += 1;
-            }
-            engine.store(
-                SHARD_CORE,
-                VirtAddr::new(lw.line + start as u64),
-                &lw.data[start..i],
-            );
-        }
+    for (addr, bytes) in intent.writes.iter().flat_map(LineWrite::runs) {
+        engine.store(SHARD_CORE, VirtAddr::new(addr), bytes);
     }
 }
 
@@ -730,7 +713,7 @@ impl SharedCrashReport {
 /// touches the engines' commit paths, so an
 /// [`FaultSite::CommitData`]/[`FaultSite::CommitMark`] cut cuts
 /// publication mid-flight). The victim shard crashes, recovers, and is
-/// checked against the byte [`Oracle`](ssp_txn::Oracle): the cut
+/// checked against the masked-line [`Oracle`](ssp_txn::Oracle): the cut
 /// transaction must be *either* wholly dropped or wholly kept, and no
 /// other committed transaction may be disturbed — the same zero-loss
 /// contract the crash-storm harness enforces. The warm-up and measured

@@ -6,8 +6,8 @@
 //! [`StormSchedule`] — virtual-time deltas or named engine fault sites —
 //! runs the real workloads over sharded engines exactly like
 //! [`runner::run_parallel`](crate::runner::run_parallel), and after every
-//! cut replays recovery and checks the shard against a byte-level
-//! [`Oracle`]. All simulated counters, data-loss verdicts and NVRAM
+//! cut replays recovery and checks the shard against an [`Oracle`] of
+//! masked cache lines. All simulated counters, data-loss verdicts and NVRAM
 //! fingerprints are bit-identical across execution modes and repeated
 //! runs for a fixed seed + schedule.
 //!
@@ -18,8 +18,9 @@
 //! returned obliviously over frozen memory). Whether that transaction
 //! survived depends on whether the engine's commit mark became durable
 //! before the freeze — the engines guarantee it is all-or-nothing. The
-//! driver therefore builds two oracle candidates, *torn-dropped* and
-//! *torn-kept*, and accepts whichever matches the recovered state. A
+//! driver therefore checks two oracle candidates, *torn-dropped* (the
+//! committed lines) and *torn-kept* (those plus the torn transaction's
+//! lines), and accepts whichever matches the recovered state. A
 //! transaction matching neither, or any earlier committed transaction
 //! missing, counts as **data loss** ([`StormShardReport::lost_txns`],
 //! which must be zero for every engine). The shared-heap crash probe and
@@ -82,8 +83,8 @@ pub enum StormPoint {
     },
 }
 
-/// A crash schedule for one storm run.
-#[derive(Debug, Clone)]
+/// A crash schedule for one storm run (the default one never cuts).
+#[derive(Debug, Clone, Default)]
 pub struct StormSchedule {
     /// The cuts, armed in order; each fires once, then the next is armed
     /// after the storm's recovery has been verified.
@@ -264,10 +265,12 @@ pub(crate) struct Cut {
 }
 
 /// A [`TxnEngine`] wrapper that mirrors every store into an [`Oracle`]
-/// while recording is on. The storm driver wraps each shard's engine so
-/// workloads need no oracle plumbing of their own.
+/// while recording is on, and folds a transaction in when its commit
+/// returns with the power on. The storm, shared-heap and service drivers
+/// wrap each shard's engine so workloads need no oracle plumbing of
+/// their own.
 #[derive(Debug, Clone)]
-pub struct OracleEngine<E> {
+pub(crate) struct OracleEngine<E> {
     inner: E,
     oracle: Oracle,
     recording: bool,
@@ -276,7 +279,7 @@ pub struct OracleEngine<E> {
 impl<E: TxnEngine> OracleEngine<E> {
     /// Wraps `inner`; recording starts **off** (workload setup is not
     /// oracle-checked — it runs before any cut can be armed).
-    pub fn new(inner: E) -> Self {
+    pub(crate) fn new(inner: E) -> Self {
         Self {
             inner,
             oracle: Oracle::new(),
@@ -285,50 +288,26 @@ impl<E: TxnEngine> OracleEngine<E> {
     }
 
     /// Turns store recording on or off.
-    pub fn set_recording(&mut self, on: bool) {
+    pub(crate) fn set_recording(&mut self, on: bool) {
         self.recording = on;
     }
 
-    /// The oracle.
-    pub fn oracle(&self) -> &Oracle {
-        &self.oracle
-    }
-
-    /// Mutable access to the oracle (the driver folds commits and
-    /// resolves torn transactions).
-    pub fn oracle_mut(&mut self) -> &mut Oracle {
-        &mut self.oracle
-    }
-
-    /// Replaces the oracle (torn-transaction resolution installs the
-    /// accepted candidate).
-    pub fn set_oracle(&mut self, oracle: Oracle) {
-        self.oracle = oracle;
-    }
-
-    /// The wrapped engine.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-
     /// Unwraps.
-    pub fn into_inner(self) -> E {
+    pub(crate) fn into_inner(self) -> E {
         self.inner
     }
 
     /// Resolves a power cut that froze memory with a transaction in
     /// flight: crash, recover — with `cut_recovery`, the first recovery
     /// is itself cut at [`FaultSite::Recovery`] and a second, clean pass
-    /// must succeed from the same NVRAM image — then install whichever of
-    /// the two candidates, transaction dropped or kept, the recovered
-    /// state matches. With `charge`, each pass's latency estimate is
-    /// added to the core clock (`recover()` itself does not advance it).
+    /// must succeed from the same NVRAM image — then check the two
+    /// candidates, transaction dropped (the committed lines) and kept
+    /// (plus its pending lines), and fold the pending lines in if kept.
+    /// With `charge`, each pass's latency estimate is added to the core
+    /// clock (`recover()` itself does not advance it).
     pub(crate) fn resolve_cut(&mut self, cut_recovery: bool, charge: bool) -> Cut {
-        let mut dropped = self.oracle.clone();
-        dropped.on_crash();
-        let mut kept = self.oracle.clone();
-        kept.on_commit(SHARD_CORE);
-        kept.on_crash();
+        let torn = self.oracle.take_pending(SHARD_CORE);
+        self.oracle.on_crash();
         self.crash();
         if cut_recovery {
             self.machine_mut().arm_crash(CrashPoint::AtSite {
@@ -345,17 +324,14 @@ impl<E: TxnEngine> OracleEngine<E> {
         // indistinguishable (e.g. it rewrote identical bytes): dropped.
         // Neither passing is data loss; the run continues from the
         // conservative candidate.
-        let verdict = if dropped.verify(self, SHARD_CORE).is_ok() {
+        let (oracle, inner) = (&mut self.oracle, &mut self.inner);
+        let verdict = if oracle.verify(inner, SHARD_CORE).is_ok() {
             CutVerdict::Dropped
-        } else if kept.verify(self, SHARD_CORE).is_ok() {
+        } else if oracle.verify_with(inner, SHARD_CORE, &torn).is_ok() {
+            oracle.commit_lines(&torn);
             CutVerdict::Kept
         } else {
             CutVerdict::Lost
-        };
-        self.oracle = if verdict == CutVerdict::Kept {
-            kept
-        } else {
-            dropped
         };
         Cut { verdict, passes }
     }
@@ -369,9 +345,7 @@ impl<E: TxnEngine> OracleEngine<E> {
         self.oracle.on_crash();
         let fingerprint = self.machine().nvram_fingerprint();
         let pass = self.recover_pass(false);
-        let oracle = std::mem::take(&mut self.oracle);
-        let ok = oracle.verify(self, SHARD_CORE).is_ok();
-        self.oracle = oracle;
+        let ok = self.oracle.verify(&mut self.inner, SHARD_CORE).is_ok();
         (fingerprint, pass, ok)
     }
 
@@ -421,6 +395,9 @@ impl<E: TxnEngine> TxnEngine for OracleEngine<E> {
     }
     fn commit(&mut self, core: CoreId) {
         self.inner.commit(core);
+        if !self.inner.machine().power_lost() {
+            self.oracle.on_commit(core);
+        }
     }
     fn abort(&mut self, core: CoreId) {
         self.oracle.on_abort(core);
@@ -491,8 +468,6 @@ impl<E: TxnEngine, W: Workload> StormWorker<E, W> {
         self.report.txns += 1;
         if self.engine.machine().power_lost() {
             self.storm_recover(true);
-        } else {
-            self.engine.oracle_mut().on_commit(SHARD_CORE);
         }
     }
 

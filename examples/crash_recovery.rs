@@ -2,7 +2,7 @@
 //! points, oracle verification — across all three engines.
 //!
 //! Each round runs a few transactions against a persistent array, records
-//! every store in the byte-level oracle, crashes at a random point, runs
+//! every store in the oracle, crashes at a random point, runs
 //! recovery, and checks that the engine's state equals the oracle's
 //! committed state (committed transactions fully present, in-flight ones
 //! fully absent).

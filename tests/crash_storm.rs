@@ -6,6 +6,9 @@
 //! The threaded == sequential cases honor `SSP_TEST_THREADS` (the CI
 //! matrix sets 1/2/4/8) and default to 2 workers.
 
+mod common;
+
+use common::DropCommit;
 use ssp::baselines::{RedoLog, ShadowPaging, UndoLog};
 use ssp::core::engine::Ssp;
 use ssp::simulator::config::{InterconnectConfig, MachineConfig};
@@ -292,4 +295,27 @@ fn storm_reports_carry_recovery_metrics() {
         assert!(shard.recovery_cycles_est > 0, "{shard:?}");
         assert!(shard.elapsed_cycles > 0, "{shard:?}");
     }
+}
+
+/// Mutation check of the oracle: an engine that silently turns its 40th
+/// commit into an abort loses a transaction the driver saw commit, and
+/// the storm driver must report it; the same run over the honest engine
+/// loses nothing.
+#[test]
+fn a_dropped_commit_is_reported_as_lost() {
+    let lost = |nth: Option<u64>| {
+        run_storm(
+            |_| {
+                let mcfg = MachineConfig::default().shard_slice(THREADS);
+                DropCommit::new(Ssp::new(mcfg, SspConfig::default()), nth)
+            },
+            |_| Sps::new(256, KeyDist::uniform(256)),
+            &cfg(ExecMode::Threaded),
+            &StormSchedule::every_cycles(8_000),
+        )
+        .totals()
+        .lost_txns
+    };
+    assert!(lost(Some(40)) > 0, "the oracle missed a dropped commit");
+    assert_eq!(lost(None), 0);
 }

@@ -15,6 +15,9 @@
 //! `SSP_TEST_THREADS` (the CI matrix sets 1/2/4/8) and default to 2
 //! workers.
 
+mod common;
+
+use common::DropCommit;
 use ssp::baselines::{RedoLog, ShadowPaging, UndoLog};
 use ssp::core::engine::Ssp;
 use ssp::simulator::config::MachineConfig;
@@ -265,4 +268,23 @@ fn group_commit_amortizes_journal_traffic() {
         batched.result.logging_writes(),
         single.result.logging_writes()
     );
+}
+
+/// Mutation check of the oracle: an engine that silently turns its 40th
+/// commit (a group commit) into an abort loses requests the front end
+/// saw served, and service mode must report it; the same run over the
+/// honest engine loses nothing.
+#[test]
+fn a_dropped_group_commit_is_reported_as_lost() {
+    let svc = ServiceConfig {
+        period_cycles: 600,
+        storm: Some(StormSchedule::every_cycles(30_000)),
+        ..ServiceConfig::default()
+    };
+    let lost = |nth: Option<u64>| {
+        let mk = |cfg| DropCommit::new(Ssp::new(cfg, SspConfig::default()), nth);
+        service_run(&mk, ExecMode::Threaded, &svc).service.lost
+    };
+    assert!(lost(Some(40)) > 0, "the oracle missed a dropped commit");
+    assert_eq!(lost(None), 0);
 }
